@@ -37,6 +37,7 @@ from .orient import (
     is_word_representable,
     orient_by_bits,
     orientation_bits,
+    semi_transitive_orientations,
     to_dot,
 )
 from .split import (

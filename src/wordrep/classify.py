@@ -5,9 +5,12 @@ Two exact characterizations are implemented: for split graphs whose
 independent vertices all have degree at most two (avoid T2 and the
 A_l family), and for split graphs with clique size exactly four (avoid
 T1, T2, T3, T4).  Everything else falls back to the exhaustive
-orientation search.  Each fast path can be cross-checked against that
-oracle; a disagreement raises rather than being papered over, because
-it would falsify one of the encoded theorems.
+orientation search.  Each question has one production route: the
+split partition is computed once and passed down, and the A_l scan
+runs only its structural search.  Under verify=True every fast path is
+cross-checked against the orientation oracle; a disagreement raises
+rather than being papered over, because it would falsify one of the
+encoded theorems.
 """
 
 from __future__ import annotations
@@ -69,36 +72,22 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# The A_l family scan, run through two independent routes that must
-# agree: a generic induced-subgraph search per l, and a structural
-# search for a covered clique cycle plus apex.
+# The A_l family scan: a structural search for a covered clique cycle
+# plus apex finds the least l, then one induced-subgraph search at that
+# l gives the embedding.  The generic per-l induced-subgraph scan is the
+# test suite's oracle for it.
 
 
-def find_a_ell(g: Graph) -> tuple[int, Embedding] | None:
-    """Least l >= 4 with a_graph(l) induced in g, with an embedding, or
-    None.  On split inputs the structural route is run as well and any
-    disagreement raises."""
-    generic = _find_a_ell_generic(g)
-    sp = split_partition(g)
-    if sp is not None:
-        structural = _find_a_ell_structural(sp)
-        generic_l = generic[0] if generic else None
-        if generic_l != structural:
-            raise OracleDisagreement(
-                f"A_l scan mismatch on {g!r}: generic={generic_l}, "
-                f"structural={structural}"
-            )
-    return generic
-
-
-def _find_a_ell_generic(g: Graph) -> tuple[int, Embedding] | None:
-    l = 4
-    while 2 * l - 1 <= g.n:
-        emb = contains_induced(g, families.a_graph(l))
-        if emb is not None:
-            return l, emb
-        l += 1
-    return None
+def find_a_ell(sp: SplitPartition) -> tuple[int, Embedding] | None:
+    """Least l >= 4 with a_graph(l) induced in the split graph, with its
+    lexicographically least embedding, or None."""
+    l = _find_a_ell_structural(sp)
+    if l is None:
+        return None
+    emb = contains_induced(sp.graph, families.a_graph(l))
+    if emb is None:
+        raise OracleDisagreement(f"covered cycle but no induced A_{l} in {sp.graph!r}")
+    return l, emb
 
 
 def _find_a_ell_structural(sp: SplitPartition) -> int | None:
@@ -108,11 +97,15 @@ def _find_a_ell_structural(sp: SplitPartition) -> int | None:
     the whole cycle and none of the covers."""
     g = sp.graph
     clique = sp.clique
-    m = len(clique)
-    for r in range(3, m + 1):
+    # a cycle of length r needs r covers of degree >= 2, and each cycle
+    # vertex lies on two cover pairs, so it sees two such covers
+    covers = [p for p in sp.independent if g.degree(p) >= 2]
+    cover_mask = sum(1 << p for p in covers)
+    on_cycle = [v for v in clique if (g.adj[v] & cover_mask).bit_count() >= 2]
+    for r in range(3, min(len(covers), len(on_cycle)) + 1):
         if 2 * (r + 1) - 1 > g.n:
             break
-        for cset in combinations(clique, r):
+        for cset in combinations(on_cycle, r):
             cmask = sum(1 << v for v in cset)
             apexes = [z for z in clique if not cmask >> z & 1]
             apexes += [
@@ -120,7 +113,7 @@ def _find_a_ell_structural(sp: SplitPartition) -> int | None:
             ]
             for z in apexes:
                 pairs = set()
-                for p in sp.independent:
+                for p in covers:
                     if p == z or g.adjacent(p, z):
                         continue
                     hit = g.adj[p] & cmask
@@ -159,7 +152,7 @@ def classify_degree_two(sp: SplitPartition) -> Verdict:
     emb = contains_induced(g, families.named("T2"))
     if emb is not None:
         return Verdict(False, REASON_MAIN1, witness_pattern=("T2", emb))
-    hit = find_a_ell(g)
+    hit = find_a_ell(sp)
     if hit is not None:
         l, emb = hit
         return Verdict(False, REASON_MAIN1, witness_pattern=(f"A_{l}", emb))
@@ -184,9 +177,13 @@ def classify_clique_four(sp: SplitPartition) -> Verdict:
 
 
 def classify_split(
-    g: Graph, *, verify: bool = False, want_orientation: bool = False
+    split: Graph | SplitPartition,
+    *,
+    verify: bool = False,
+    want_orientation: bool = False,
 ) -> Verdict:
-    """Classify a split graph, fast paths first:
+    """Classify a split graph, given as the graph or, when the caller
+    already has it, as its split partition.  Fast paths first:
 
     after reduction, clique size <= 3 means representable (the graph is
     3-colorable); split comparability graphs are representable; then
@@ -197,13 +194,14 @@ def classify_split(
     want_orientation=True attaches a semi-transitive orientation of the
     input graph to representable verdicts.
     """
-    sp = split_partition(g)
+    sp = split_partition(split) if isinstance(split, Graph) else split
     if sp is None:
         raise ValueError("input graph is not split")
-    reduced, labels = _reduce_with_map(g)
-    rsp = split_partition(reduced)
-    assert rsp is not None
+    g = sp.graph
+    rsp, labels = _reduce_with_map(sp)
+    reduced = rsp.graph
 
+    found = None
     if rsp.m <= 3:
         verdict = Verdict(True, REASON_CLIQUE_LE_3)
     elif is_split_comparability(reduced):
@@ -217,7 +215,9 @@ def classify_split(
         verdict = Verdict(found is not None, REASON_ORACLE)
 
     if want_orientation and verdict.representable:
-        og = find_semi_transitive_orientation(g)
+        og = found  # the search ran on g itself when nothing was reduced
+        if og is None or reduced is not g:
+            og = find_semi_transitive_orientation(g)
         assert og is not None, "fast path said representable, search disagrees"
         verdict = Verdict(
             verdict.representable, verdict.reason, verdict.witness_pattern, og

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import families
 from .classify import REASON_ORACLE, Verdict, classify_split
@@ -29,34 +28,19 @@ from .graphs import (
 )
 from .orient import (
     OracleDisagreement,
-    OrientedGraph,
-    all_orientations,
     count_semi_transitive_extensions,
     find_semi_transitive_orientation,
     is_semi_transitive,
     is_word_representable,
     orient_by_bits,
     orientation_bits,
+    semi_transitive_orientations,
     to_dot,
 )
 from .split import KIND_INVALID, check_relative_order, classify_all, split_partition
 from .words import find_representant, format_word, parse_word, represents
 
 LARGE_CENSUS_VAR = "WORDREP_ALLOW_LARGE_CENSUS"
-
-
-@dataclass
-class RunReport:
-    """What a subcommand did: echoed command, per-graph results, timing,
-    and summary counts keyed by verdict."""
-
-    command: str
-    results: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-
-    def bump(self, key: str) -> None:
-        self.counts[key] = self.counts.get(key, 0) + 1
 
 
 def _read_graph_lines(paths: list[str]) -> list[tuple[int, str]]:
@@ -91,13 +75,11 @@ def _parse_inputs(paths: list[str]) -> tuple[list[tuple[int, Graph]], int]:
 
 
 def _verdict_for(g: Graph, verify: bool, witness: bool) -> Verdict:
-    if split_partition(g) is not None:
-        return classify_split(g, verify=verify, want_orientation=witness)
-    representable = is_word_representable(g)
-    og = None
-    if witness and representable:
-        og = find_semi_transitive_orientation(g)
-    return Verdict(representable, REASON_ORACLE, witness_orientation=og)
+    sp = split_partition(g)
+    if sp is not None:
+        return classify_split(sp, verify=verify, want_orientation=witness)
+    og = find_semi_transitive_orientation(g)
+    return Verdict(og is not None, REASON_ORACLE, witness_orientation=og if witness else None)
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +87,10 @@ def _verdict_for(g: Graph, verify: bool, witness: bool) -> Verdict:
 
 
 def cmd_classify(args) -> int:
-    report = RunReport("classify")
-    start = time.perf_counter()
     parsed, errors = _parse_inputs(args.inputs)
     for lineno, g in parsed:
         verdict = _verdict_for(g, args.verify, args.witness)
-        report.bump(("" if verdict.representable else "non-") + "representable")
         g6 = write_graph6(g)
-        report.results.append((g6, verdict))
         if args.json:
             payload = {"graph6": g6, **verdict.to_json()}
             print(json.dumps(payload))
@@ -125,7 +103,6 @@ def cmd_classify(args) -> int:
             elif verdict.witness_orientation is not None:
                 extra = f"\torientation={orientation_bits(verdict.witness_orientation)}"
             print(f"{g6}\t{status}\t{verdict.reason}{extra}")
-    report.elapsed = time.perf_counter() - start
     return 1 if errors else 0
 
 
@@ -142,8 +119,8 @@ def cmd_census(args) -> int:
             file=sys.stderr,
         )
         return 1
-    report = RunReport(f"census {n} --filter {args.filter}")
     start = time.perf_counter()
+    counts: dict[str, int] = {}
     total = 0
     non_rep: list[tuple[str, bool, bool]] = []
     for g in enumerate_graphs(n, allow_large=allow_large):
@@ -155,15 +132,14 @@ def cmd_census(args) -> int:
             continue
         total += 1
         if sp is not None:
-            verdict = classify_split(g)
+            verdict = classify_split(sp)
         else:
             verdict = Verdict(is_word_representable(g), REASON_ORACLE)
         key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
-        report.bump(key)
+        counts[key] = counts.get(key, 0) + 1
         if not verdict.representable:
             non_rep.append((write_graph6(g), sp is not None, connected))
-    report.results = non_rep
-    report.elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start
     for g6, is_split_graph, connected in non_rep:
         if args.json:
             print(json.dumps({"graph6": g6, "split": is_split_graph, "connected": connected}))
@@ -175,8 +151,8 @@ def cmd_census(args) -> int:
         "classes": total,
         "non_representable": len(non_rep),
         "connected_non_representable": sum(1 for _, _, c in non_rep if c),
-        "counts": dict(sorted(report.counts.items())),
-        "seconds": round(report.elapsed, 3),
+        "counts": dict(sorted(counts.items())),
+        "seconds": round(elapsed, 3),
     }
     if args.json:
         print(json.dumps(summary))
@@ -244,9 +220,14 @@ def _parse_fix(arcspec: str, g: Graph) -> list[tuple[int, int]]:
             raise ValueError(f"bad arc {part!r}; use tail>head")
         a, b = part.split(">", 1)
         arcs.append((int(a), int(b)))
+    seen = set()
     for a, b in arcs:
         if not (0 <= a < g.n and 0 <= b < g.n) or not g.adjacent(a, b):
             raise ValueError(f"({a},{b}) is not an edge of the input graph")
+        edge = frozenset((a, b))
+        if edge in seen:
+            raise ValueError(f"edge {{{a},{b}}} is fixed more than once")
+        seen.add(edge)
     return arcs
 
 
@@ -300,17 +281,17 @@ def cmd_orient(args) -> int:
             print(f"{g6}\t{count_semi_transitive_extensions(g, fixed)}")
             continue
         if args.all:
-            shown = 0
-            for og in all_orientations(g):
-                if any(not og.has_arc(a, b) for a, b in fixed):
-                    continue
-                if is_semi_transitive(og):
-                    print(f"{g6}\t{orientation_bits(og)}")
-                    shown += 1
-            if not shown:
+            # all_orientations order: by mask, whose bit i is character i
+            found = sorted(
+                (orientation_bits(og) for og in semi_transitive_orientations(g, fixed)),
+                key=lambda bits: bits[::-1],
+            )
+            for bits in found:
+                print(f"{g6}\t{bits}")
+            if not found:
                 print(f"{g6}\tnone")
             continue
-        og = _first_orientation(g, fixed)
+        og = next(semi_transitive_orientations(g, fixed), None)
         if og is None:
             print(f"{g6}\tnone")
             continue
@@ -322,17 +303,6 @@ def cmd_orient(args) -> int:
             if code:
                 return code
     return status
-
-
-def _first_orientation(g: Graph, fixed) -> OrientedGraph | None:
-    if not fixed:
-        return find_semi_transitive_orientation(g)
-    from .orient import _search_semi_transitive
-
-    _, masks = _search_semi_transitive(g, fixed=tuple(fixed))
-    if masks is None:
-        return None
-    return OrientedGraph._from_out(g, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +336,18 @@ def cmd_represent(args) -> int:
 # parser plumbing
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordrep",
@@ -381,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("census", help="classify all isomorphism classes of order n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_at_least(0))
     p.add_argument("--filter", choices=("all", "split", "connected"), default="all")
     p.add_argument("--expected", type=int, default=None,
                    help="exit 2 unless this many non-representable classes are found")
@@ -413,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("represent", help="bounded uniform word search")
     p.add_argument("inputs", nargs="*")
-    p.add_argument("--max-uniformity", type=int, default=3)
+    p.add_argument("--max-uniformity", type=_int_at_least(1), default=3)
     p.add_argument("--check", default=None, metavar="WORD",
                    help="verify a word instead of searching")
     p.set_defaults(func=cmd_represent)

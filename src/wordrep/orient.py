@@ -11,9 +11,12 @@ orientation, which turns the bounded search below into a decision
 procedure.
 
 Two independent shortcut checkers live here: a fast reachability-based
-decision used inside searches, and a path-enumerating witness finder.
-They are kept separate on purpose so tests can play one against the
-other.
+decision, shared by full orientations and the search's partial ones,
+and a path-enumerating witness finder.  They are kept separate on
+purpose so tests can play one against the other.  One backtracking
+engine, ``semi_transitive_orientations``, serves finding, counting and
+listing orientations; the brute force over all 2^|E| orientations
+(``all_orientations``) is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -199,21 +202,21 @@ def _descendants(out: Sequence[int], n: int) -> list[int]:
     return reach
 
 
-def _has_shortcut_masks(n: int, out: Sequence[int], base_adj: Sequence[int]) -> bool:
-    """Fast shortcut decision on a DAG given as out-masks.
+def _has_shortcut(
+    n: int, out: Sequence[int], reach: Sequence[int], anc: Sequence[int],
+    base_adj: Sequence[int],
+) -> bool:
+    """Fast shortcut decision on a DAG given as out-masks, with
+    ``reach[v]``/``anc[v]`` its descendants/ancestors of v, v included.
 
     A shortcut exists iff there are vertices u, v, non-adjacent in the
     base graph, with u reaching v, and a directed edge a->b such that a
     reaches u and v reaches b: stitching a->..->u->..->v->..->b gives a
     path of length >= 3 below the shortcutting edge a->b whose vertex
     set induces a non-transitive subgraph (the pair (u,v) is missing).
+    On a partial orientation a hit survives every completion, because
+    the missing pair is a base non-edge.
     """
-    reach = _descendants(out, n)
-    anc = [1 << v for v in range(n)]
-    for u in range(n):
-        ru = reach[u]
-        for v in _bits(ru & ~(1 << u)):
-            anc[v] |= 1 << u
     for u in range(n):
         cand = reach[u] & ~(1 << u) & ~base_adj[u]
         if not cand:
@@ -232,9 +235,15 @@ def _has_shortcut_masks(n: int, out: Sequence[int], base_adj: Sequence[int]) -> 
 
 def is_semi_transitive(og: OrientedGraph) -> bool:
     """Acyclic and shortcut-free."""
-    if _topological_order(og.out, og.n) is None:
+    n = og.n
+    if _topological_order(og.out, n) is None:
         return False
-    return not _has_shortcut_masks(og.n, og.out, og.base.adj)
+    reach = _descendants(og.out, n)
+    anc = [1 << v for v in range(n)]
+    for u in range(n):
+        for v in _bits(reach[u] & ~(1 << u)):
+            anc[v] |= 1 << u
+    return not _has_shortcut(n, og.out, reach, anc, og.base.adj)
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +338,31 @@ def _shortcut_via_edge(
 
 # ---------------------------------------------------------------------------
 # The decision procedure: backtracking over edge directions with cycle
-# pruning on every assignment and sound partial shortcut pruning (the
-# missing pair of a partial witness is always a base non-edge, so any
-# completion keeps the witness).
+# pruning on every assignment and sound partial shortcut pruning.  One
+# engine serves finding, counting and listing orientations.
 
 
-def _search_semi_transitive(
-    g: Graph,
-    fixed: Sequence[tuple[int, int]] = (),
-    count_all: bool = False,
-) -> tuple[int, tuple[int, ...] | None]:
-    """Shared engine: find the first semi-transitive orientation
-    extending ``fixed``, or count all of them.
+def semi_transitive_orientations(
+    g: Graph, fixed: Iterable[tuple[int, int]] = ()
+) -> Iterator[OrientedGraph]:
+    """Every semi-transitive orientation of g containing the arcs in
+    ``fixed``, each yielded once.
 
-    Returns (count, out_masks_of_first_found_or_None).  With
-    count_all=False the search stops at the first success.
+    The order is the backtracking order: free edges by descending
+    endpoint-degree sum, then lexicographically, with u->v tried before
+    v->u for u<v.  Raises ValueError when a fixed arc is not an edge of
+    g or an edge is fixed more than once.
     """
     n = g.n
+    fixed = list(fixed)
+    fixed_mask = [0] * n
+    for a, b in fixed:
+        if not g.adjacent(a, b):
+            raise ValueError(f"({a},{b}) is not an edge of g")
+        if fixed_mask[a] >> b & 1:
+            raise ValueError(f"edge {{{a},{b}}} fixed more than once")
+        fixed_mask[a] |= 1 << b
+        fixed_mask[b] |= 1 << a
     out = [0] * n
     reach = [1 << v for v in range(n)]
     anc = [1 << v for v in range(n)]
@@ -376,78 +393,38 @@ def _search_semi_transitive(
             reach[w] = r
             anc[w] = an
 
-    def partial_shortcut() -> bool:
-        for u in range(n):
-            cand = reach[u] & ~(1 << u) & ~g.adj[u]
-            if not cand:
-                continue
-            heads = 0
-            for a in _bits(anc[u]):
-                heads |= out[a]
-            while cand:
-                lb = cand & -cand
-                v = lb.bit_length() - 1
-                cand ^= lb
-                if heads & reach[v]:
-                    return True
-        return False
-
     for a, b in fixed:
-        undo = add_arc(a, b)
-        if undo is None or partial_shortcut():
-            return 0, None
+        if add_arc(a, b) is None or _has_shortcut(n, out, reach, anc, g.adj):
+            return
 
-    fixed_mask = [0] * n
-    for a, b in fixed:
-        fixed_mask[a] |= 1 << b
-        fixed_mask[b] |= 1 << a
-    free = [
-        (u, v)
-        for u, v in g.edges()
-        if not fixed_mask[u] >> v & 1
-    ]
+    free = [(u, v) for u, v in g.edges() if not fixed_mask[u] >> v & 1]
     # most-constrained first: descending endpoint-degree sum, then lex
     free.sort(key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
 
-    found: list[tuple[int, ...] | None] = [None]
-    count = 0
-
-    def assign(i: int) -> bool:
-        """Returns True when the search can stop (first hit found)."""
-        nonlocal count
+    def assign(i: int) -> Iterator[OrientedGraph]:
         if i == len(free):
-            count += 1
-            if found[0] is None:
-                found[0] = tuple(out)
-            return not count_all
+            yield OrientedGraph._from_out(g, tuple(out))
+            return
         u, v = free[i]
         for a, b in ((u, v), (v, u)):
             undo = add_arc(a, b)
             if undo is None:
                 continue
-            if not partial_shortcut():
-                if assign(i + 1):
-                    remove_arc(a, b, undo)
-                    return True
+            if not _has_shortcut(n, out, reach, anc, g.adj):
+                yield from assign(i + 1)
             remove_arc(a, b, undo)
-        return False
 
-    assign(0)
-    return count, found[0]
+    yield from assign(0)
 
 
 def find_semi_transitive_orientation(g: Graph) -> OrientedGraph | None:
     """Some semi-transitive orientation of g, or None when none exists.
 
     Exhaustive backtracking, hence a decision procedure; the result is
-    the first orientation found under the fixed branching order (edges
-    by descending endpoint-degree sum, u->v tried before v->u for u<v).
+    the first orientation of ``semi_transitive_orientations(g)``.
     """
-    _, masks = _search_semi_transitive(g)
-    if masks is None:
-        return None
-    og = OrientedGraph._from_out(g, masks)
-    assert is_semi_transitive(og)
+    og = next(semi_transitive_orientations(g), None)
+    assert og is None or is_semi_transitive(og)
     return og
 
 
@@ -461,39 +438,9 @@ def count_semi_transitive_extensions(
     g: Graph, partial: Iterable[tuple[int, int]]
 ) -> int:
     """Number of semi-transitive orientations of g agreeing with the
-    partial assignment, by plain exhaustive enumeration."""
-    fixed = list(partial)
-    seen = set()
-    for a, b in fixed:
-        if not g.adjacent(a, b):
-            raise ValueError(f"({a},{b}) is not an edge of g")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValueError(f"edge {{{a},{b}}} fixed more than once")
-        seen.add(key)
-    fixed_mask = [0] * g.n
-    for a, b in fixed:
-        fixed_mask[a] |= 1 << b
-        fixed_mask[b] |= 1 << a
-    free = [(u, v) for u, v in g.edges() if not fixed_mask[u] >> v & 1]
-    base_out = [0] * g.n
-    for a, b in fixed:
-        base_out[a] |= 1 << b
-    count = 0
-    for mask in range(1 << len(free)):
-        out = base_out[:]
-        m = mask
-        for u, v in free:
-            if m & 1:
-                out[v] |= 1 << u
-            else:
-                out[u] |= 1 << v
-            m >>= 1
-        if _topological_order(out, g.n) is not None and not _has_shortcut_masks(
-            g.n, out, g.adj
-        ):
-            count += 1
-    return count
+    partial assignment.  Raises ValueError when an arc of ``partial`` is
+    not an edge of g or an edge is fixed more than once."""
+    return sum(1 for _ in semi_transitive_orientations(g, partial))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Split graphs and the structure of their semi-transitive orientations.
 
 A split graph partitions into a maximal clique K_m and an independent
-set; equivalently it contains no induced C4, C5 or 2K2.  Under any
+set; equivalently it contains no induced C4, C5 or 2K2.  Recognition
+and the partition come from the degree sequence alone (Hammer and
+Simeone); the forbidden-subgraph characterisation is the test suite's
+oracle for it.  Under any
 semi-transitive orientation the clique is oriented transitively, fixing
 a Hamiltonian directed path through it, and every independent vertex
 falls into one of three patterns relative to that path:
@@ -49,82 +52,32 @@ class SplitPartition:
         return sum(1 << v for v in self.clique)
 
 
-def _maximal_cliques(g: Graph) -> list[int]:
-    """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting)."""
-    found: list[int] = []
-    if g.n == 0:
-        return [0]
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            found.append(r)
-            return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = pivot
-        best_cover = (g.adj[pivot] & p).bit_count()
-        pool = pivot_pool
-        while pool:
-            lb = pool & -pool
-            u = lb.bit_length() - 1
-            pool ^= lb
-            c = (g.adj[u] & p).bit_count()
-            if c > best_cover:
-                best, best_cover = u, c
-        cand = p & ~g.adj[best]
-        while cand:
-            lb = cand & -cand
-            v = lb.bit_length() - 1
-            cand ^= lb
-            expand(r | lb, p & g.adj[v], x & g.adj[v])
-            p &= ~lb
-            x |= lb
-
-    expand(0, (1 << g.n) - 1, 0)
-    return found
-
-
 def split_partition(g: Graph) -> SplitPartition | None:
     """The canonical split partition of g, or None when g is not split.
 
-    Among all valid maximal-clique partitions the one whose clique is
-    lexicographically least as a sorted vertex list is returned.
+    Recognition follows Hammer and Simeone (1981): with degrees sorted
+    d_1 >= ... >= d_n and m = max{i : d_i >= i-1}, g is split iff
+    sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i, and then any m vertices
+    carrying the degrees d_1..d_m form a maximal clique with an
+    independent complement.  Every partition into a maximal clique and
+    an independent set arises this way, so breaking degree ties by the
+    lower label returns the one whose clique is lexicographically least
+    as a sorted vertex list.
     """
-    best: tuple[int, ...] | None = None
-    full = (1 << g.n) - 1
-    for mask in _maximal_cliques(g):
-        rest = full & ~mask
-        if any(g.adj[u] & rest for u in _bits(rest)):
-            continue
-        clique = tuple(_bits(mask))
-        if best is None or clique < best:
-            best = clique
-    if best is None:
+    order = sorted(range(g.n), key=lambda v: -g.degree(v))
+    degrees = [g.degree(v) for v in order]
+    m = 0
+    while m < g.n and degrees[m] >= m:
+        m += 1
+    if sum(degrees[:m]) != m * (m - 1) + sum(degrees[m:]):
         return None
-    mask = sum(1 << v for v in best)
-    indep = tuple(v for v in range(g.n) if not mask >> v & 1)
-    return SplitPartition(g, best, indep)
-
-
-def _is_split_by_forbidden(g: Graph) -> bool:
-    for pattern in (families.cycle(4), families.cycle(5), families.two_k2()):
-        if contains_induced(g, pattern) is not None:
-            return False
-    return True
+    clique = tuple(sorted(order[:m]))
+    return SplitPartition(g, clique, tuple(sorted(order[m:])))
 
 
 def is_split(g: Graph) -> bool:
-    """Split recognition, decided independently by the forbidden-subgraph
-    test (no induced C4, C5, 2K2) and by partition construction; the two
-    routes must agree."""
-    by_pattern = _is_split_by_forbidden(g)
-    by_partition = split_partition(g) is not None
-    if by_pattern != by_partition:
-        raise OracleDisagreement(
-            f"split recognition mismatch on {g!r}: "
-            f"forbidden-subgraph={by_pattern}, partition={by_partition}"
-        )
-    return by_pattern
+    """Is g a split graph (no induced C4, C5 or 2K2)?"""
+    return split_partition(g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +86,12 @@ def is_split(g: Graph) -> bool:
 # vertices with identical neighbourhoods.
 
 
-def _reduce_with_map(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Reduce to a fixpoint; returns (reduced graph, original labels of
-    the surviving vertices in ascending order)."""
-    labels = list(range(g.n))
-    cur = g
+def _reduce_with_map(sp: SplitPartition) -> tuple[SplitPartition, tuple[int, ...]]:
+    """Reduce to a fixpoint; returns (partition of the reduced graph,
+    original labels of the surviving vertices in ascending order)."""
+    labels = list(range(sp.graph.n))
     while True:
-        sp = split_partition(cur)
-        if sp is None:
-            raise ValueError("reduction requires a split graph")
+        cur = sp.graph
         drop = None
         for v in sp.independent:
             if cur.degree(v) <= 1:
@@ -157,8 +107,9 @@ def _reduce_with_map(g: Graph) -> tuple[Graph, tuple[int, ...]]:
                 if drop is not None:
                     break
         if drop is None:
-            return cur, tuple(labels)
-        cur = cur.delete_vertex(drop)
+            return sp, tuple(labels)
+        sp = split_partition(cur.delete_vertex(drop))
+        assert sp is not None, "deleting a vertex keeps a graph split"
         del labels[drop]
 
 
@@ -166,10 +117,7 @@ def reduce_split(sp: SplitPartition) -> SplitPartition:
     """Remove independent vertices of degree <= 1 and duplicate-
     neighbourhood vertices (keeping the lower-labelled twin) until no
     move applies.  Word-representability of input and output agree."""
-    reduced, _ = _reduce_with_map(sp.graph)
-    out = split_partition(reduced)
-    assert out is not None
-    return out
+    return _reduce_with_map(sp)[0]
 
 
 def is_split_comparability(g: Graph) -> bool:

@@ -20,10 +20,6 @@ from .graphs import Graph
 Word = tuple[int, ...]
 
 
-def word_alphabet(w: Iterable[int]) -> set[int]:
-    return set(w)
-
-
 def alternate(w: Iterable[int], x: int, y: int) -> bool:
     """Do letters x and y alternate in w?
 
@@ -77,7 +73,7 @@ def alternation_graph(w: Iterable[int], n: int) -> Graph:
     The alphabet of w must be exactly {0..n-1}.
     """
     w = tuple(w)
-    alpha = word_alphabet(w)
+    alpha = set(w)
     if alpha != set(range(n)):
         raise ValueError(f"alphabet {sorted(alpha)} is not 0..{n - 1}")
     broken = _broken_pairs(w)
@@ -100,7 +96,7 @@ def representation_defect(w: Iterable[int], g: Graph) -> str | None:
     """None when w represents g, otherwise a short description of the
     first discrepancy found."""
     w = tuple(w)
-    alpha = word_alphabet(w)
+    alpha = set(w)
     if alpha != set(range(g.n)):
         return f"alphabet {sorted(alpha)} does not match vertex set 0..{g.n - 1}"
     broken = _broken_pairs(w)

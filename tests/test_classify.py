@@ -1,6 +1,6 @@
-"""Characterization layer: the A_l scan (both routes), the degree-two
-and clique-four characterizations, and the dispatcher against the
-orientation oracle."""
+"""Characterization layer: the A_l scan against its generic oracle, the
+degree-two and clique-four characterizations, and the dispatcher
+against the orientation oracle."""
 
 import pytest
 
@@ -16,23 +16,44 @@ from wordrep.classify import (
     classify_split,
     find_a_ell,
 )
-from wordrep.graphs import Graph, enumerate_graphs, induced_subgraph, is_isomorphic
+from wordrep.graphs import (
+    Graph,
+    contains_induced,
+    enumerate_graphs,
+    induced_subgraph,
+    is_isomorphic,
+)
 from wordrep.orient import is_semi_transitive
 from wordrep.split import split_partition
 from conftest import EXHAUSTIVE, random_split_graph
 
 
+def _find_a_ell_generic(g):
+    """Oracle: scan l = 4, 5, ... for an induced a_graph(l)."""
+    l = 4
+    while 2 * l - 1 <= g.n:
+        emb = contains_induced(g, families.a_graph(l))
+        if emb is not None:
+            return l, emb
+        l += 1
+    return None
+
+
+def _a_ell(g):
+    return find_a_ell(split_partition(g))
+
+
 def test_find_a_ell_examples():
-    hit = find_a_ell(families.a_graph(5))
+    hit = _a_ell(families.a_graph(5))
     assert hit is not None and hit[0] == 5
     assert hit[1].image() == tuple(range(9))
-    assert find_a_ell(families.k_triangle(6)) is None
-    hit = find_a_ell(families.named("T1"))
+    assert _a_ell(families.k_triangle(6)) is None
+    hit = _a_ell(families.named("T1"))
     assert hit is not None and hit[0] == 4
     # every witness induces the named graph
     for l in (4, 5):
         host = families.a_graph(l)
-        found_l, emb = find_a_ell(host)
+        found_l, emb = _a_ell(host)
         assert is_isomorphic(
             induced_subgraph(host, emb.image()), families.a_graph(found_l)
         )
@@ -57,24 +78,25 @@ def _cover_cycle_host(with_independent_apex: bool, poisoned_apex: bool) -> Graph
 
 def test_find_a_ell_apex_selection():
     # clique apex
-    hit = find_a_ell(_cover_cycle_host(False, False))
+    hit = _a_ell(_cover_cycle_host(False, False))
     assert hit is not None and hit[0] == 5
     # clique apex poisoned, independent apex takes over
-    hit = find_a_ell(_cover_cycle_host(True, True))
+    hit = _a_ell(_cover_cycle_host(True, True))
     assert hit is not None and hit[0] == 5
     # no usable apex at all
-    assert find_a_ell(_cover_cycle_host(False, True)) is None
+    assert _a_ell(_cover_cycle_host(False, True)) is None
 
 
 def test_find_a_ell_routes_agree(rng):
-    # the dual-route assertion is wired into find_a_ell itself; sweep it
+    # the structural route (with its one embedding search) against the
+    # generic per-l scan, witnesses included
     for _ in range(150):
         g = random_split_graph(rng, rng.randint(4, 9))
-        find_a_ell(g)
+        assert _a_ell(g) == _find_a_ell_generic(g)
     for n in range(8):
         for g in enumerate_graphs(n):
             if split_partition(g) is not None:
-                find_a_ell(g)
+                assert _a_ell(g) == _find_a_ell_generic(g)
 
 
 def test_classify_degree_two_examples():

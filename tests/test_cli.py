@@ -147,6 +147,16 @@ def test_orient_count_with_fixed_clique(tmp_path, capsys):
     assert out.strip().split("\t")[1] == "4"
 
 
+def test_orient_fix_rejects_an_edge_named_twice(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(families.complete(3)) + "\n")
+    for fix in ("0>1,1>0", "0>1,0>1"):
+        for mode in ([], ["--count"], ["--all"]):
+            code, out, err = run(capsys, "orient", str(path), *mode, "--fix", fix)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and "more than once" in err
+
+
 def test_orient_all_lists_every_orientation(tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text(write_graph6(families.complete(3)) + "\n")
@@ -212,6 +222,20 @@ def test_usage_error_exits_1(capsys):
     assert main(["census"]) == 1
     assert main(["bogus"]) == 1
     assert main(["--help"]) == 0
+
+
+def test_census_negative_order_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "census", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "at least 0" in err
+
+
+def test_represent_zero_uniformity_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(g6("K", 3) + "\n")
+    code, out, err = run(capsys, "represent", str(path), "--max-uniformity", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "at least 1" in err
 
 
 def test_internal_disagreement_exits_3(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from wordrep.orient import (
     is_word_representable,
     orient_by_bits,
     orientation_bits,
+    semi_transitive_orientations,
     to_dot,
 )
 from conftest import EXHAUSTIVE, random_graph
@@ -220,14 +221,25 @@ def test_clique_fixed_extensions_have_the_predicted_shape():
 
 
 def test_count_matches_backtracking_engine(rng):
-    from wordrep.orient import _search_semi_transitive
-
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 6), 0.5)
         plain = count_semi_transitive_extensions(g, [])
-        engine, _ = _search_semi_transitive(g, count_all=True)
-        brute = sum(1 for og in all_orientations(g) if is_semi_transitive(og))
-        assert plain == engine == brute
+        engine = list(semi_transitive_orientations(g))
+        brute = [og for og in all_orientations(g) if is_semi_transitive(og)]
+        assert plain == len(engine) == len(brute)
+        assert set(engine) == set(brute)
+
+
+def test_engine_with_fixed_arcs_matches_brute_force(rng):
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 6), 0.6)
+        edges = g.edges()
+        fixed = [e if rng.random() < 0.5 else e[::-1]
+                 for e in rng.sample(edges, rng.randint(0, min(3, len(edges))))]
+        brute = [og for og in all_orientations(g)
+                 if is_semi_transitive(og) and all(og.has_arc(a, b) for a, b in fixed)]
+        assert count_semi_transitive_extensions(g, fixed) == len(brute)
+        assert set(semi_transitive_orientations(g, fixed)) == set(brute)
 
 
 def test_search_self_validates(rng):

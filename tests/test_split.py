@@ -2,10 +2,13 @@
 comparability test, vertex typing, relative-order restrictions, the
 structural semi-transitivity characterization, and A/B flips."""
 
+import itertools
+
+import networkx as nx
 import pytest
 
 from wordrep import families
-from wordrep.graphs import Graph, enumerate_graphs
+from wordrep.graphs import Graph, contains_induced, enumerate_graphs
 from wordrep.orient import (
     OrientedGraph,
     all_orientations,
@@ -30,7 +33,60 @@ from wordrep.split import (
     split_partition,
     toggle_ab,
 )
-from conftest import EXHAUSTIVE, random_split_graph
+from conftest import EXHAUSTIVE, random_graph, random_split_graph
+
+
+def _is_split_by_forbidden(g):
+    """Oracle: split iff no induced C4, C5 or 2K2."""
+    for pattern in (families.cycle(4), families.cycle(5), families.two_k2()):
+        if contains_induced(g, pattern) is not None:
+            return False
+    return True
+
+
+def _split_cliques(g):
+    """Oracle: the maximal cliques whose complement is independent
+    (found by networkx), each as a sorted tuple, in ascending order."""
+    if g.n == 0:
+        return [()]
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    found = []
+    for clique in nx.find_cliques(h):
+        rest = set(range(g.n)) - set(clique)
+        if not any(g.adjacent(u, v) for u, v in itertools.combinations(rest, 2)):
+            found.append(tuple(sorted(clique)))
+    return sorted(found)
+
+
+def _split_partition_by_cliques(g):
+    """Oracle for split_partition: the lexicographically least clique
+    of _split_cliques, as (clique, independent), or None."""
+    cliques = _split_cliques(g)
+    if not cliques:
+        return None
+    return cliques[0], tuple(v for v in range(g.n) if v not in cliques[0])
+
+
+def _random_split_graph_with_ties(rng, n):
+    """A relabelled split graph whose clique has vertices without
+    independent neighbours, some of them missed by exactly one
+    independent vertex that sees the rest of the clique: each such pair
+    is a swap tie between two partitions."""
+    m = rng.randint(1, n)
+    lonely = rng.sample(range(m), rng.randint(0, m))
+    others = [c for c in range(m) if c not in lonely]
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    for w in range(m, n):
+        if lonely and rng.random() < 0.5:
+            missed = rng.choice(lonely)
+            edges += [(c, w) for c in range(m) if c != missed]
+        else:
+            edges += [(c, w) for c in rng.sample(others, rng.randint(0, max(len(others) - 1, 0)))]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def split_graphs_up_to(nmax):
@@ -77,11 +133,34 @@ def test_is_split_examples():
 
 
 def test_is_split_routes_agree_up_to_7():
-    # is_split itself asserts agreement of the forbidden-subgraph and
-    # partition routes; sweep both over the full catalogue
+    # the degree-sequence recognition against the forbidden-subgraph
+    # oracle over the full catalogue
     for n in range(8):
         for g in enumerate_graphs(n):
-            is_split(g)
+            assert is_split(g) == _is_split_by_forbidden(g)
+
+
+def _partition_pair(g):
+    sp = split_partition(g)
+    return None if sp is None else (sp.clique, sp.independent)
+
+
+def test_split_partition_matches_clique_oracle_up_to_7():
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            assert _partition_pair(g) == _split_partition_by_cliques(g), g.edges()
+
+
+def test_split_partition_matches_clique_oracle_on_random_graphs(rng):
+    ties = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = _random_split_graph_with_ties(rng, n)
+        ties += len(_split_cliques(g)) > 1
+        assert _partition_pair(g) == _split_partition_by_cliques(g), g.edges()
+        h = random_graph(rng, n, rng.random())
+        assert _partition_pair(h) == _split_partition_by_cliques(h), h.edges()
+    assert ties > 50
 
 
 def test_reduce_examples():
