@@ -19,6 +19,7 @@ import time
 from . import families
 from .classify import REASON_ORACLE, Verdict, classify_split
 from .graphs import (
+    ENUMERATION_GUARD,
     Graph,
     Graph6Error,
     enumerate_graphs,
@@ -113,9 +114,9 @@ def cmd_classify(args) -> int:
 def cmd_census(args) -> int:
     n = args.n
     allow_large = bool(os.environ.get(LARGE_CENSUS_VAR))
-    if n > 8 and not allow_large:
+    if n > ENUMERATION_GUARD and not allow_large:
         print(
-            f"census beyond n=8 is gated; set {LARGE_CENSUS_VAR}=1 to override",
+            f"census beyond n={ENUMERATION_GUARD} is gated; set {LARGE_CENSUS_VAR}=1 to override",
             file=sys.stderr,
         )
         return 1
@@ -181,10 +182,10 @@ def cmd_census(args) -> int:
 def cmd_generate(args) -> int:
     try:
         g = families.named(args.tag, *args.params)
+        print(write_graph6(g))  # raises beyond the graph6 short form
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    print(write_graph6(g))
     if args.word:
         try:
             w = families.k_triangle_odd_word(*args.params) if args.tag == "K_TRIANGLE" else None
@@ -253,6 +254,9 @@ def _classify_types_lines(g: Graph, og) -> int:
 
 
 def cmd_orient(args) -> int:
+    if args.bits is not None and args.fix:
+        print("--bits inspects one exact orientation; it cannot take --fix", file=sys.stderr)
+        return 1
     parsed, errors = _parse_inputs(args.inputs)
     status = 1 if errors else 0
     for _, g in parsed:
@@ -384,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", help="emit every orientation")
     group.add_argument("--count", action="store_true", help="emit only the count")
+    group.add_argument("--bits", default=None, metavar="BITS",
+                       help="inspect this exact orientation instead of searching")
     p.add_argument("--fix", default="", metavar="ARCS",
                    help="comma-separated forced arcs, e.g. 0>1,1>2")
-    p.add_argument("--bits", default=None, metavar="BITS",
-                   help="inspect this exact orientation instead of searching")
     p.add_argument("--dot", action="store_true", help="also emit DOT text")
     p.add_argument("--classify-types", action="store_true",
                    help="print per-vertex type reports (split inputs)")

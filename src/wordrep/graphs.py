@@ -126,7 +126,7 @@ def is_connected(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # graph6 text format (short form, n <= 62): one printable line per graph.
 # Header byte encodes n+63; the upper triangle follows column by column,
-# packed 6 bits per byte, each byte offset by 63.
+# packed 6 bits per byte, each byte offset by 63: writer and parser walk it alike.
 
 
 def write_graph6(g: Graph) -> str:
@@ -171,40 +171,26 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(line) - 1 > nbytes:
         raise Graph6Error("trailing data after graph6 encoding", base + 1 + nbytes)
-    adj = [0] * n
-    pos = 0  # bit cursor over the upper triangle, column-major
-    for i in range(nbytes):
-        c = ord(line[1 + i])
+    bits = 0
+    for i in range(1, 1 + nbytes):
+        c = ord(line[i])
         if not 63 <= c <= 126:
-            raise Graph6Error(f"data byte {c} out of range 63..126", base + 1 + i)
-        group = c - 63
-        for k in range(5, -1, -1):
-            if pos >= nbits:
-                break
-            if group >> k & 1:
-                u, v = _triangle_coords(pos)
+            raise Graph6Error(f"data byte {c} out of range 63..126", base + i)
+        bits = bits << 6 | (c - 63)
+    adj = [0] * n
+    shift = 6 * nbytes
+    for v in range(1, n):
+        for u in range(v):
+            shift -= 1
+            if bits >> shift & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-            pos += 1
     return Graph._from_adj(n, tuple(adj))
 
 
-@lru_cache(maxsize=None)
-def _triangle_offsets(limit: int = GRAPH6_MAX_N + 1) -> tuple[int, ...]:
-    return tuple(v * (v - 1) // 2 for v in range(limit + 1))
-
-
-def _triangle_coords(pos: int) -> tuple[int, int]:
-    """Inverse of column-major upper-triangle bit numbering."""
-    offs = _triangle_offsets()
-    v = 1
-    while offs[v + 1] <= pos:
-        v += 1
-    return pos - offs[v], v
-
-
 # ---------------------------------------------------------------------------
-# Induced subgraphs and embeddings.
+# Induced subgraphs and embeddings.  One backtracking matcher, ``_match``,
+# serves induced-subgraph search and isomorphism testing alike.
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -252,6 +238,36 @@ class Embedding:
         return True
 
 
+def _match(
+    host: Graph, pattern: Graph, order: list[int], candidates: list[list[int]]
+) -> list[int] | None:
+    """First map (indexed by pattern vertex) sending each ``order[i]`` to
+    a host vertex from ``candidates[i]``, tried in list order, such that
+    adjacency among matched vertices agrees both ways; or None."""
+    k = len(order)
+    mapping = [-1] * pattern.n
+
+    def extend(i: int, used: int) -> bool:
+        if i == k:
+            return True
+        v = order[i]
+        prow = pattern.adj[v]
+        want = 0  # w must see exactly the images of the matched neighbours
+        for j in range(i):
+            if prow >> order[j] & 1:
+                want |= 1 << mapping[order[j]]
+        for w in candidates[i]:
+            bit = 1 << w
+            if used & bit or host.adj[w] & used != want:
+                continue
+            mapping[v] = w
+            if extend(i + 1, used | bit):
+                return True
+        return False
+
+    return mapping if extend(0, 0) else None
+
+
 def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     """First embedding of ``pattern`` as an induced subgraph of ``host``,
     or None.
@@ -263,45 +279,17 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     np_, nh = pattern.n, host.n
     if np_ > nh:
         return None
-    pdeg = [pattern.degree(v) for v in range(np_)]
-    hdeg = [host.degree(v) for v in range(nh)]
-    mapping = [-1] * np_
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == np_:
-            return True
-        prow = pattern.adj[i]
-        for w in range(nh):
-            if used >> w & 1:
-                continue
-            if hdeg[w] < pdeg[i] or (nh - 1 - hdeg[w]) < (np_ - 1 - pdeg[i]):
-                continue
-            hrow = host.adj[w]
-            ok = True
-            for j in range(i):
-                if (prow >> j & 1) != (hrow >> mapping[j] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[i] = w
-            used |= 1 << w
-            if extend(i + 1):
-                return True
-            used ^= 1 << w
-            mapping[i] = -1
-        return False
-
-    if extend(0):
-        return Embedding(tuple(mapping))
-    return None
+    # candidates[v]: host vertices with at least v's degree and non-degree
+    hdeg = [host.degree(w) for w in range(nh)]
+    candidates = [[w for w in range(nh) if hdeg[w] >= d and nh - hdeg[w] >= np_ - d]
+                  for d in (pattern.degree(v) for v in range(np_))]
+    mapping = _match(host, pattern, list(range(np_)), candidates)
+    return None if mapping is None else Embedding(tuple(mapping))
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism.  Colour refinement narrows the candidate maps, then a
-# backtracking search settles the question; adequate for the small
+# Isomorphism.  Colour refinement narrows the candidate maps, then the
+# shared matcher settles the question; adequate for the small
 # graphs this package deals in (no attempt at nauty-grade performance).
 
 
@@ -352,35 +340,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         by_color.setdefault(hc[w], []).append(w)
     # match most-constrained vertices first
     order = sorted(range(n), key=lambda v: (len(by_color[gc[v]]), -g.degree(v), v))
-    mapping = [-1] * n
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        v = order[i]
-        grow = g.adj[v]
-        for w in by_color[gc[v]]:
-            if used >> w & 1:
-                continue
-            hrow = h.adj[w]
-            ok = True
-            for j in range(i):
-                if (grow >> order[j] & 1) != (hrow >> mapping[order[j]] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            if extend(i + 1):
-                return True
-            used ^= 1 << w
-            mapping[v] = -1
-        return False
-
-    return extend(0)
+    return _match(h, g, order, [by_color[gc[v]] for v in order]) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -188,11 +188,11 @@ def is_transitive(og: OrientedGraph) -> bool:
     return True
 
 
-def _descendants(out: Sequence[int], n: int) -> list[int]:
-    """reach[v] = vertices reachable from v, v included.  Assumes a DAG."""
+def _descendants(out: Sequence[int], n: int) -> list[int] | None:
+    """reach[v] = vertices reachable from v, v included; None on a cycle."""
     order = _topological_order(out, n)
     if order is None:
-        raise ValueError("orientation contains a directed cycle")
+        return None
     reach = [0] * n
     for v in reversed(order):
         r = 1 << v
@@ -236,9 +236,9 @@ def _has_shortcut(
 def is_semi_transitive(og: OrientedGraph) -> bool:
     """Acyclic and shortcut-free."""
     n = og.n
-    if _topological_order(og.out, n) is None:
-        return False
     reach = _descendants(og.out, n)
+    if reach is None:
+        return False
     anc = [1 << v for v in range(n)]
     for u in range(n):
         for v in _bits(reach[u] & ~(1 << u)):
@@ -299,7 +299,9 @@ def find_shortcut(og: OrientedGraph) -> ShortcutWitness | None:
     subgraph yields the witness.  The input must be acyclic.
     """
     n = og.n
-    reach = _descendants(og.out, n)  # raises on cyclic input
+    reach = _descendants(og.out, n)
+    if reach is None:
+        raise ValueError("orientation contains a directed cycle")
     for a in range(n):
         for b in _bits(og.out[a]):
             witness = _shortcut_via_edge(og, a, b, reach)

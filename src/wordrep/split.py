@@ -4,10 +4,10 @@ A split graph partitions into a maximal clique K_m and an independent
 set; equivalently it contains no induced C4, C5 or 2K2.  Recognition
 and the partition come from the degree sequence alone (Hammer and
 Simeone); the forbidden-subgraph characterisation is the test suite's
-oracle for it.  Under any
-semi-transitive orientation the clique is oriented transitively, fixing
-a Hamiltonian directed path through it, and every independent vertex
-falls into one of three patterns relative to that path:
+oracle for it.  Under any semi-transitive orientation the clique is
+oriented transitively, fixing a Hamiltonian directed path through it,
+and every independent vertex falls into one of three patterns relative
+to that path:
 
   A - every edge leaves the vertex, into consecutive path positions;
   B - every edge enters the vertex, from consecutive path positions;
@@ -17,15 +17,18 @@ falls into one of three patterns relative to that path:
 On top of the typing there are relative-order restrictions pivoting on
 each type-C vertex's boundary pair (its last in-neighbour, its first
 out-neighbour).  Together the three conditions characterise
-semi-transitivity on split graphs; ``check_main_orientation`` evaluates
-them and is cross-checked against the direct shortcut search in the
-test suite.
+semi-transitivity on split graphs.  One typing pass (``_typed``) and one
+violation scan (``_violations``) evaluate them: ``check_main_orientation``
+stops at the first failure, while ``classify_vertex``, ``classify_all``
+and ``check_relative_order`` turn the same results into the reports that
+``orient --classify-types`` prints.  The test suite cross-checks both
+views against the direct shortcut search on every orientation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graphs import Graph, _bits, contains_induced
 from .orient import OracleDisagreement, OrientedGraph, is_semi_transitive
@@ -49,7 +52,10 @@ class SplitPartition:
         return len(self.clique)
 
     def clique_mask(self) -> int:
-        return sum(1 << v for v in self.clique)
+        mask = 0
+        for v in self.clique:
+            mask |= 1 << v
+        return mask
 
 
 def split_partition(g: Graph) -> SplitPartition | None:
@@ -191,44 +197,93 @@ class OrderViolation:
 def clique_path(sp: SplitPartition, og: OrientedGraph) -> tuple[int, ...] | None:
     """The Hamiltonian directed path through the clique, as a vertex
     sequence, or None when the induced clique orientation is not
-    transitive (equivalently, not acyclic)."""
-    clique = sp.clique
+    transitive (equivalently, not acyclic).
+
+    A tournament is transitive iff its out-degrees are distinct, and
+    then the vertex with out-degree d sits d places before the sink.
+    """
     cmask = sp.clique_mask()
-    order = sorted(clique, key=lambda v: -(og.out[v] & cmask).bit_count())
-    m = len(order)
-    for i, v in enumerate(order):
-        if (og.out[v] & cmask).bit_count() != m - 1 - i:
+    m = len(sp.clique)
+    path = [-1] * m
+    for v in sp.clique:
+        i = m - 1 - (og.out[v] & cmask).bit_count()
+        if path[i] >= 0:
             return None
-    for i in range(m):
-        for j in range(i + 1, m):
-            if not og.has_arc(order[i], order[j]):
-                return None
-    return tuple(order)
+        path[i] = v
+    return tuple(path)
 
 
-def _contiguous(mask: int) -> bool:
-    if mask == 0:
-        return True
-    low = mask & -mask
-    t = mask + low
-    return t & (t - 1) == 0
+def _typed(
+    sp: SplitPartition, og: OrientedGraph, path: tuple[int, ...], vertices: Iterable[int]
+) -> Iterator[tuple]:
+    """The typing pass: for each x in ``vertices``, yield (x, kind,
+    neighbour positions, source-group mask, sink-group mask, boundary).
+
+    Positions index ``path``; the group masks are vertex masks and the
+    boundary is (last source-group vertex, first sink-group vertex)
+    along the path, both for type C only.
+    """
+    m = len(path)
+    rank = [0] * sp.graph.n
+    for i, v in enumerate(path):
+        rank[v] = i
+    adj, out = sp.graph.adj, og.out
+    for x in vertices:
+        nbr_pos = out_pos = 0
+        for v in _bits(adj[x]):
+            nbr_pos |= 1 << rank[v]
+            if out[x] >> v & 1:
+                out_pos |= 1 << rank[v]
+        in_pos = nbr_pos ^ out_pos
+        if not (in_pos and out_pos):  # A or B: one consecutive run
+            run_end = nbr_pos + (nbr_pos & -nbr_pos)
+            kind = KIND_INVALID if run_end & (run_end - 1) else KIND_B if in_pos else KIND_A
+        elif in_pos & (in_pos + 1) or out_pos + (out_pos & -out_pos) != 1 << m:
+            kind = KIND_INVALID  # C needs an in-prefix and an out-suffix
+        else:
+            s, t = in_pos.bit_count(), out_pos.bit_count()
+            yield (x, KIND_C, nbr_pos, sum(1 << v for v in path[:s]),
+                   sum(1 << v for v in path[m - t:]), (path[s - 1], path[m - t]))
+            continue
+        yield x, kind, nbr_pos, 0, 0, None
 
 
-def _classify_masks(in_pos: int, out_pos: int, m: int) -> tuple[str, int, int]:
-    """Kind plus (source-group positions, sink-group positions) masks."""
-    if out_pos == 0 and in_pos == 0:
-        return KIND_A, 0, 0  # isolated vertex: trivially consecutive
-    if in_pos == 0:
-        return (KIND_A, 0, 0) if _contiguous(out_pos) else (KIND_INVALID, 0, 0)
-    if out_pos == 0:
-        return (KIND_B, 0, 0) if _contiguous(in_pos) else (KIND_INVALID, 0, 0)
-    s = in_pos.bit_count()
-    t = out_pos.bit_count()
-    prefix = (1 << s) - 1
-    suffix = ((1 << t) - 1) << (m - t)
-    if in_pos == prefix and out_pos == suffix:
-        return KIND_C, in_pos, out_pos
-    return KIND_INVALID, 0, 0
+def _violations(adj: tuple[int, ...], typed: list[tuple]) -> Iterator[tuple]:
+    """Yield (y, x, boundary, kind) for every relative-order violation
+    among typed entries, none of them INVALID: for each type-C vertex x
+    with boundary pair (u, v), a type-A or -B vertex adjacent to both u
+    and v violates, and so does another type-C vertex whose source-group
+    or sink-group contains both."""
+    for x, kind, _, _, _, boundary in typed:
+        if kind != KIND_C:
+            continue
+        u, v = boundary
+        pair = (1 << u) | (1 << v)
+        for y, y_kind, _, src, snk, _ in typed:
+            if y == x:
+                continue
+            if y_kind != KIND_C:
+                if adj[y] & pair == pair:
+                    yield y, x, boundary, "AB"
+                continue
+            if src & pair == pair:
+                yield y, x, boundary, "C_SOURCE_GROUP"
+            if snk & pair == pair:
+                yield y, x, boundary, "C_SINK_GROUP"
+
+
+def _reports(
+    sp: SplitPartition, og: OrientedGraph, vertices: Iterable[int]
+) -> list[VertexTypeReport]:
+    path = clique_path(sp, og)
+    if path is None:
+        raise ValueError("clique is not transitively oriented")
+    m = len(path)  # both slices are () unless type C sets the group masks
+    return [
+        VertexTypeReport(x, kind, tuple(_bits(nbr_pos)), path[: src.bit_count()],
+                         path[m - snk.bit_count():], boundary)
+        for x, kind, nbr_pos, src, snk, boundary in _typed(sp, og, path, vertices)
+    ]
 
 
 def classify_vertex(
@@ -241,72 +296,26 @@ def classify_vertex(
     """
     if x not in sp.independent:
         raise ValueError(f"vertex {x} is not in the independent set")
-    path = clique_path(sp, og)
-    if path is None:
-        raise ValueError("clique is not transitively oriented")
-    pos = {v: i for i, v in enumerate(path)}
-    m = len(path)
-    in_pos = 0
-    out_pos = 0
-    for v in _bits(sp.graph.adj[x]):
-        if og.has_arc(v, x):
-            in_pos |= 1 << pos[v]
-        else:
-            out_pos |= 1 << pos[v]
-    kind, src, snk = _classify_masks(in_pos, out_pos, m)
-    neighbors = tuple(sorted(pos[v] for v in _bits(sp.graph.adj[x])))
-    if kind == KIND_C:
-        source_group = tuple(path[i] for i in _bits(src))
-        sink_group = tuple(path[i] for i in _bits(snk))
-        boundary = (source_group[-1], sink_group[0])
-        return VertexTypeReport(x, kind, neighbors, source_group, sink_group, boundary)
-    return VertexTypeReport(x, kind, neighbors)
+    return _reports(sp, og, (x,))[0]
 
 
 def classify_all(sp: SplitPartition, og: OrientedGraph) -> list[VertexTypeReport]:
-    return [classify_vertex(sp, og, x) for x in sp.independent]
+    return _reports(sp, og, sp.independent)
 
 
 def check_relative_order(
     sp: SplitPartition, reports: Iterable[VertexTypeReport]
 ) -> list[OrderViolation]:
-    """All relative-order violations among typed independent vertices.
-
-    For each type-C vertex x with boundary pair (u, v): a type-A or -B
-    vertex adjacent to both u and v violates, and so does another
-    type-C vertex whose source-group or sink-group contains both.
-    """
-    reports = list(reports)
+    """All relative-order violations among typed independent vertices,
+    in report order of the type-C pivot x, then of the violating y."""
+    typed = []
     for r in reports:
         if r.kind == KIND_INVALID:
             raise ValueError(f"vertex {r.vertex} is not of type A, B or C")
-    g = sp.graph
-    violations: list[OrderViolation] = []
-    for x in reports:
-        if x.kind != KIND_C:
-            continue
-        u, v = x.boundary
-        pair = (1 << u) | (1 << v)
-        for y in reports:
-            if y.vertex == x.vertex:
-                continue
-            if y.kind in (KIND_A, KIND_B):
-                if g.adj[y.vertex] & pair == pair:
-                    violations.append(
-                        OrderViolation(y.vertex, x.vertex, x.boundary, "AB")
-                    )
-            else:
-                src = sum(1 << w for w in y.source_group)
-                snk = sum(1 << w for w in y.sink_group)
-                if src & pair == pair:
-                    violations.append(
-                        OrderViolation(y.vertex, x.vertex, x.boundary, "C_SOURCE_GROUP")
-                    )
-                if snk & pair == pair:
-                    violations.append(
-                        OrderViolation(y.vertex, x.vertex, x.boundary, "C_SINK_GROUP")
-                    )
-    return violations
+        src = sum(1 << w for w in r.source_group)
+        snk = sum(1 << w for w in r.sink_group)
+        typed.append((r.vertex, r.kind, 0, src, snk, r.boundary))
+    return [OrderViolation(*v) for v in _violations(sp.graph.adj, typed)]
 
 
 def check_main_orientation(sp: SplitPartition, og: OrientedGraph) -> bool:
@@ -316,41 +325,12 @@ def check_main_orientation(sp: SplitPartition, og: OrientedGraph) -> bool:
     path = clique_path(sp, og)
     if path is None:
         return False
-    pos = {v: i for i, v in enumerate(path)}
-    m = len(path)
-    g = sp.graph
-    c_entries: list[tuple[int, int, int, int]] = []  # (x, src_vmask, snk_vmask, boundary_vmask)
-    ab_entries: list[int] = []  # adjacency masks of A/B vertices
-    for x in sp.independent:
-        in_pos = 0
-        out_pos = 0
-        for v in _bits(g.adj[x]):
-            if og.has_arc(v, x):
-                in_pos |= 1 << pos[v]
-            else:
-                out_pos |= 1 << pos[v]
-        kind, src, snk = _classify_masks(in_pos, out_pos, m)
-        if kind == KIND_INVALID:
+    typed = []
+    for entry in _typed(sp, og, path, sp.independent):
+        if entry[1] == KIND_INVALID:
             return False
-        if kind == KIND_C:
-            s = src.bit_count()
-            t = snk.bit_count()
-            src_v = sum(1 << path[i] for i in range(s))
-            snk_v = sum(1 << path[i] for i in range(m - t, m))
-            bpair = (1 << path[s - 1]) | (1 << path[m - t])
-            c_entries.append((x, src_v, snk_v, bpair))
-        else:
-            ab_entries.append(g.adj[x])
-    for x, _, _, bpair in c_entries:
-        for mask in ab_entries:
-            if mask & bpair == bpair:
-                return False
-        for y, src_v, snk_v, _ in c_entries:
-            if y == x:
-                continue
-            if src_v & bpair == bpair or snk_v & bpair == bpair:
-                return False
-    return True
+        typed.append(entry)
+    return next(_violations(sp.graph.adj, typed), None) is None
 
 
 def toggle_ab(sp: SplitPartition, og: OrientedGraph, x: int) -> OrientedGraph:

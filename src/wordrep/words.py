@@ -158,10 +158,7 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
             old_broken = broken[c][d]
             if old_last == c and not old_broken:
                 if g.adjacent(c, d):
-                    # edge pair would stop alternating
-                    for cc, dd, ol, ob in reversed(changed):
-                        last[cc][dd] = last[dd][cc] = ol
-                        broken[cc][dd] = broken[dd][cc] = ob
+                    undo_place(changed)  # edge pair would stop alternating
                     return None
                 changed.append((c, d, old_last, old_broken))
                 broken[c][d] = broken[d][c] = True
@@ -172,9 +169,7 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
             # c is exhausted: every exhausted non-edge partner must be broken
             for d in range(n):
                 if d != c and remaining[d] == 0 and not g.adjacent(c, d) and not broken[c][d]:
-                    for cc, dd, ol, ob in reversed(changed):
-                        last[cc][dd] = last[dd][cc] = ol
-                        broken[cc][dd] = broken[dd][cc] = ob
+                    undo_place(changed)
                     return None
         return changed
 

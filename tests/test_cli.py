@@ -125,6 +125,9 @@ def test_generate_errors(capsys):
     code, out, err = run(capsys, "generate", "T4", "--orientation")
     assert code == 1
     assert "no canonical orientation" in err
+    code, out, err = run(capsys, "generate", "K", "63")  # beyond graph6 short form
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "n <= 62" in err
 
 
 def test_orient_default_and_none(tmp_path, capsys):
@@ -195,6 +198,20 @@ def test_orient_bits_inspection(tmp_path, capsys):
     violations = [p for p in payloads if "y" in p]
     assert sorted(r["kind"] for r in reports) == ["B", "B", "C"]
     assert violations == [{"y": 4, "x": 6, "boundary": [1, 3], "kind": "AB"}]
+
+
+def test_orient_bits_rejects_search_options(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(families.complete(3)) + "\n")
+    # bits 000 orient 0->1, 0->2, 1->2, against the fixed arc 1>0
+    for extra in (["--fix", "1>0"], ["--count"], ["--all"]):
+        code, out, err = run(capsys, "orient", str(path), "--bits", "000", *extra)
+        assert code == 1 and out == ""
+        assert err
+    code, out, err = run(capsys, "orient", str(path), "--bits", "000", "--dot",
+                         "--classify-types")
+    assert code == 0
+    assert out.splitlines()[0] == "Bw\t000\tsemi-transitive"
 
 
 def test_represent_roundtrip(tmp_path, capsys):

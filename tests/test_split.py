@@ -289,6 +289,17 @@ def test_check_relative_order_examples():
     reports = classify_all(sp5, og)
     assert sum(1 for r in reports if r.kind == KIND_C) >= 1
     assert check_relative_order(sp5, reports) == []
+    # two type-C vertices over the path 0->...->4: 6's sink group holds
+    # 5's boundary pair, and 5's source group holds 6's; both are listed
+    clique = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    g = Graph(7, clique + [(5, 0), (5, 1), (5, 2), (5, 4), (6, 0), (6, 2), (6, 3), (6, 4)])
+    sp7 = split_partition(g)
+    og = OrientedGraph(g, clique + [(0, 5), (1, 5), (2, 5), (5, 4), (0, 6), (6, 2), (6, 3), (6, 4)])
+    assert [v.to_json() for v in check_relative_order(sp7, classify_all(sp7, og))] == [
+        {"y": 6, "x": 5, "boundary": [2, 4], "kind": "C_SINK_GROUP"},
+        {"y": 5, "x": 6, "boundary": [0, 2], "kind": "C_SOURCE_GROUP"},
+    ]
+    assert not check_main_orientation(sp7, og) and not is_semi_transitive(og)
     # violation JSON schema
     from wordrep.split import OrderViolation
 
@@ -306,15 +317,23 @@ def test_check_main_orientation_examples():
 
 
 def test_main_orientation_equivalence():
-    """The flagship oracle test: the structural test coincides with the
-    direct semi-transitivity check on every orientation."""
+    """The flagship oracle test: the structural test, and the type
+    reports and violations that ``orient --classify-types`` prints,
+    coincide with the direct semi-transitivity check on every
+    orientation."""
     nmax = 7 if EXHAUSTIVE else 6
     for g, sp in split_graphs_up_to(nmax):
         for og in all_orientations(g):
-            assert check_main_orientation(sp, og) == is_semi_transitive(og), (
-                g.edges(),
-                og.arcs(),
-            )
+            semi = is_semi_transitive(og)
+            assert check_main_orientation(sp, og) == semi, (g.edges(), og.arcs())
+            if clique_path(sp, og) is None:
+                continue
+            reports = classify_all(sp, og)
+            if all(r.kind != KIND_INVALID for r in reports):
+                assert (check_relative_order(sp, reports) == []) == semi, (
+                    g.edges(),
+                    og.arcs(),
+                )
 
 
 def test_main_orientation_equivalence_sampled_n8(rng):
