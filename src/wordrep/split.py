@@ -250,10 +250,8 @@ def _typed(
 
 def _violations(adj: tuple[int, ...], typed: list[tuple]) -> Iterator[tuple]:
     """Yield (y, x, boundary, kind) for every relative-order violation
-    among typed entries, none of them INVALID: for each type-C vertex x
-    with boundary pair (u, v), a type-A or -B vertex adjacent to both u
-    and v violates, and so does another type-C vertex whose source-group
-    or sink-group contains both."""
+    among ``_typed`` entries, none of them INVALID, in entry order of
+    the pivot x, then of y (the rules are in ``check_relative_order``)."""
     for x, kind, _, _, _, boundary in typed:
         if kind != KIND_C:
             continue
@@ -306,8 +304,12 @@ def classify_all(sp: SplitPartition, og: OrientedGraph) -> list[VertexTypeReport
 def check_relative_order(
     sp: SplitPartition, reports: Iterable[VertexTypeReport]
 ) -> list[OrderViolation]:
-    """All relative-order violations among typed independent vertices,
-    in report order of the type-C pivot x, then of the violating y."""
+    """All relative-order violations among typed independent vertices.
+
+    For each type-C vertex x with boundary pair (u, v): a type-A or -B
+    vertex adjacent to both u and v violates, and so does another
+    type-C vertex whose source-group or sink-group contains both.
+    """
     typed = []
     for r in reports:
         if r.kind == KIND_INVALID:
