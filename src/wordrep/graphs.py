@@ -177,6 +177,8 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= c <= 126:
             raise Graph6Error(f"data byte {c} out of range 63..126", base + i)
         bits = bits << 6 | (c - 63)
+    if bits & ((1 << (6 * nbytes - nbits)) - 1):
+        raise Graph6Error("non-zero padding bits in the last data byte", base + nbytes)
     adj = [0] * n
     shift = 6 * nbytes
     for v in range(1, n):

@@ -1,23 +1,28 @@
 """Directed machinery over undirected base graphs: acyclicity,
-transitivity, shortcut detection, semi-transitivity, and the
-backtracking decision procedure for word-representability.
+transitivity, shortcut detection, semi-transitivity, the search for
+semi-transitive orientations that decides word-representability, and
+the search for transitive orientations.
 
 An orientation is semi-transitive when it is acyclic and shortcut-free.
 A shortcut is an induced subdigraph on at least four vertices that is
 acyclic and non-transitive, has a unique source s, a unique sink t, a
 directed Hamiltonian s->t path, and the shortcutting edge s->t.  A
 graph is word-representable exactly when it admits a semi-transitive
-orientation, which turns the bounded search below into a decision
+orientation, which turns the exhaustive search below into a decision
 procedure.
 
 Two independent shortcut checkers live here: a fast reachability-based
 decision, shared by full orientations and the search's partial ones,
 and a path-enumerating witness finder.  They are kept separate on
-purpose so tests can play one against the other.  One backtracking
-engine, ``semi_transitive_orientations``, serves finding, counting and
-listing orientations; the brute force over all 2^|E| orientations
-(``all_orientations``) is the tests' oracle for it.
-"""
+purpose so tests can play one against the other.  One engine,
+``semi_transitive_orientations``, serves finding, counting and listing
+orientations: a depth-first search over edge directions, run as a loop
+over an explicit stack, so its depth is not bounded by Python's
+recursion limit.  The
+brute force over all 2^|E| orientations (``all_orientations``) is the
+tests' oracle for it.  Transitive orientations come from Golumbic's
+G-decomposition, a loop over implication classes that never
+backtracks."""
 
 from __future__ import annotations
 
@@ -109,11 +114,13 @@ def all_orientations(g: Graph) -> Iterator[OrientedGraph]:
     """All 2^|E| orientations of g, in lexicographic bitstring order."""
     edges = g.edges()
     for mask in range(1 << len(edges)):
-        yield orient_by_bits(g, _mask_to_bits(mask, len(edges)))
-
-
-def _mask_to_bits(mask: int, width: int) -> str:
-    return format(mask, f"0{width}b")[::-1] if width else ""
+        out = [0] * g.n
+        for i, (u, v) in enumerate(edges):
+            if mask >> i & 1:
+                out[v] |= 1 << u
+            else:
+                out[u] |= 1 << v
+        yield OrientedGraph._from_out(g, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +346,30 @@ def _shortcut_via_edge(
 
 
 # ---------------------------------------------------------------------------
-# The decision procedure: backtracking over edge directions with cycle
-# pruning on every assignment and sound partial shortcut pruning.  One
-# engine serves finding, counting and listing orientations.
+# The decision procedure: depth-first search over edge directions with
+# cycle pruning on every assignment and sound partial shortcut pruning,
+# run as a loop over an explicit stack.  A stack entry is one arc still
+# to be placed: its level, its direction and its parent's out/reach/anc
+# lists, which are copied when the entry is popped and never mutated, so
+# siblings share them and nothing is undone.  One engine serves finding,
+# counting and listing orientations.
+
+
+def _add_arc(
+    out: list[int], reach: list[int], anc: list[int], a: int, b: int
+) -> bool:
+    """Direct a->b, closing ``reach``/``anc`` in place; False on a cycle."""
+    rb = reach[b]
+    if rb >> a & 1:
+        return False
+    for w in _bits(anc[a]):
+        reach[w] |= rb
+    # descendants of b and ancestors of a are disjoint (no cycle)
+    ab = anc[a]
+    for w in _bits(rb):
+        anc[w] |= ab
+    out[a] |= 1 << b
+    return True
 
 
 def semi_transitive_orientations(
@@ -350,7 +378,7 @@ def semi_transitive_orientations(
     """Every semi-transitive orientation of g containing the arcs in
     ``fixed``, each yielded once.
 
-    The order is the backtracking order: free edges by descending
+    The order is the depth-first order: free edges by descending
     endpoint-degree sum, then lexicographically, with u->v tried before
     v->u for u<v.  Raises ValueError when a fixed arc is not an edge of
     g or an edge is fixed more than once.
@@ -359,7 +387,7 @@ def semi_transitive_orientations(
     fixed = list(fixed)
     fixed_mask = [0] * n
     for a, b in fixed:
-        if not g.adjacent(a, b):
+        if not (0 <= a < n and 0 <= b < n and g.adjacent(a, b)):
             raise ValueError(f"({a},{b}) is not an edge of g")
         if fixed_mask[a] >> b & 1:
             raise ValueError(f"edge {{{a},{b}}} fixed more than once")
@@ -368,55 +396,30 @@ def semi_transitive_orientations(
     out = [0] * n
     reach = [1 << v for v in range(n)]
     anc = [1 << v for v in range(n)]
-
-    def add_arc(a: int, b: int) -> list | None:
-        """Direct a->b; returns an undo record, or None on a cycle."""
-        if reach[b] >> a & 1:
-            return None
-        undo = []
-        rb = reach[b]
-        for w in _bits(anc[a]):
-            if rb & ~reach[w]:
-                undo.append((w, reach[w], anc[w]))
-                reach[w] |= rb
-        # descendants of b and ancestors of a are disjoint here (else a
-        # cycle would have been detected), so no double bookkeeping
-        ab = anc[a]
-        for w in _bits(rb):
-            if ab & ~anc[w]:
-                undo.append((w, reach[w], anc[w]))
-                anc[w] |= ab
-        out[a] |= 1 << b
-        return undo
-
-    def remove_arc(a: int, b: int, undo: list) -> None:
-        out[a] &= ~(1 << b)
-        for w, r, an in undo:
-            reach[w] = r
-            anc[w] = an
-
     for a, b in fixed:
-        if add_arc(a, b) is None or _has_shortcut(n, out, reach, anc, g.adj):
+        if not _add_arc(out, reach, anc, a, b) or _has_shortcut(n, out, reach, anc, g.adj):
             return
 
     free = [(u, v) for u, v in g.edges() if not fixed_mask[u] >> v & 1]
     # most-constrained first: descending endpoint-degree sum, then lex
     free.sort(key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
-
-    def assign(i: int) -> Iterator[OrientedGraph]:
-        if i == len(free):
+    if not free:
+        yield OrientedGraph._from_out(g, tuple(out))
+        return
+    last = len(free) - 1
+    # v->u is pushed first so that u->v is explored first
+    stack = [(0, True, out, reach, anc), (0, False, out, reach, anc)]
+    while stack:
+        i, flip, out, reach, anc = stack.pop()
+        out, reach, anc = out[:], reach[:], anc[:]
+        a, b = free[i][::-1] if flip else free[i]
+        if not _add_arc(out, reach, anc, a, b) or _has_shortcut(n, out, reach, anc, g.adj):
+            continue
+        if i == last:
             yield OrientedGraph._from_out(g, tuple(out))
-            return
-        u, v = free[i]
-        for a, b in ((u, v), (v, u)):
-            undo = add_arc(a, b)
-            if undo is None:
-                continue
-            if not _has_shortcut(n, out, reach, anc, g.adj):
-                yield from assign(i + 1)
-            remove_arc(a, b, undo)
-
-    yield from assign(0)
+        else:
+            stack.append((i + 1, True, out, reach, anc))
+            stack.append((i + 1, False, out, reach, anc))
 
 
 def find_semi_transitive_orientation(g: Graph) -> OrientedGraph | None:
@@ -446,74 +449,49 @@ def count_semi_transitive_extensions(
 
 
 # ---------------------------------------------------------------------------
-# Transitive orientations (comparability testing support).
+# Transitive orientations (comparability testing support): Golumbic's
+# G-decomposition (*Algorithmic Graph Theory and Perfect Graphs*, 1980,
+# Thm 5.1).
 
 
 def find_transitive_orientation(g: Graph) -> OrientedGraph | None:
-    """A transitive orientation of g, or None; backtracking with
-    implication propagation (u->v and v->z force u->z when {u,z} is an
-    edge, and contradict when it is not)."""
+    """A transitive orientation of g, or None when g is not a
+    comparability graph.
+
+    The G-decomposition, with no backtracking: direct the first
+    undirected edge, spread its implication class through the
+    undirected edges, add the class to the orientation and remove its
+    edges; repeat.  g is a comparability graph iff no class forces both
+    directions of an edge, and then the union of the classes is
+    transitive.
+    """
     n = g.n
-    edges = g.edges()
-    state: dict[tuple[int, int], int] = {}  # (u,v) u<v -> 0 undecided, 1 u->v, 2 v->u
-
-    def arc_of(u: int, v: int) -> int:
-        """1 if u->v decided, -1 if v->u, 0 undecided."""
-        a, b = (u, v) if u < v else (v, u)
-        s = state.get((a, b), 0)
-        if s == 0:
-            return 0
-        forward = s == 1
-        return 1 if forward == (u < v) else -1
-
-    def set_arc(u: int, v: int, trail: list) -> bool:
-        """Orient u->v, propagating closure; False on contradiction."""
-        cur = arc_of(u, v)
-        if cur == 1:
-            return True
-        if cur == -1:
-            return False
-        a, b = (u, v) if u < v else (v, u)
-        state[(a, b)] = 1 if u < v else 2
-        trail.append((a, b))
-        # close through every vertex z
-        for z in range(n):
-            if z == u or z == v:
-                continue
-            # u->v and v->z  =>  u->z
-            if g.adjacent(v, z) and arc_of(v, z) == 1:
-                if not g.adjacent(u, z):
-                    return False
-                if not set_arc(u, z, trail):
-                    return False
-            # z->u and u->v  =>  z->v
-            if g.adjacent(z, u) and arc_of(z, u) == 1:
-                if not g.adjacent(z, v):
-                    return False
-                if not set_arc(z, v, trail):
-                    return False
-        return True
-
-    def solve(i: int) -> bool:
-        while i < len(edges) and state.get(edges[i], 0) != 0:
-            i += 1
-        if i == len(edges):
-            return True
-        u, v = edges[i]
-        for x, y in ((u, v), (v, u)):
-            trail: list = []
-            if set_arc(x, y, trail) and solve(i + 1):
-                return True
-            for key in trail:
-                del state[key]
-        return False
-
-    if not solve(0):
-        return None
-    arcs = []
-    for (a, b), s in state.items():
-        arcs.append((a, b) if s == 1 else (b, a))
-    og = OrientedGraph(g, arcs)
+    und = list(g.adj)  # the edges no class has taken yet
+    out = [0] * n
+    for u, v in g.edges():
+        if not und[u] >> v & 1:
+            continue
+        cls = [0] * n  # cls[a] masks the heads of class arcs leaving a
+        cls[u] = 1 << v
+        work = [(u, v)]
+        while work:
+            a, b = work.pop()
+            # a->b forces a->c when c sees a but not b, and c->b when c
+            # sees b but not a
+            forced = [(a, c) for c in _bits(und[a] & ~und[b] & ~(1 << b))]
+            forced += [(c, b) for c in _bits(und[b] & ~und[a] & ~(1 << a))]
+            for x, y in forced:
+                if cls[y] >> x & 1:
+                    return None
+                if not cls[x] >> y & 1:
+                    cls[x] |= 1 << y
+                    work.append((x, y))
+        for x in range(n):
+            out[x] |= cls[x]
+            und[x] &= ~cls[x]
+            for y in _bits(cls[x]):
+                und[y] &= ~(1 << x)
+    og = OrientedGraph._from_out(g, tuple(out))
     assert is_transitive(og)
     return og
 

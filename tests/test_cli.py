@@ -4,7 +4,7 @@ import json
 
 from wordrep import families
 from wordrep.cli import main
-from wordrep.graphs import parse_graph6, write_graph6
+from wordrep.graphs import Graph, parse_graph6, write_graph6
 from wordrep.orient import orient_by_bits, is_semi_transitive
 from wordrep.words import parse_word, represents
 
@@ -158,6 +158,33 @@ def test_orient_fix_rejects_an_edge_named_twice(tmp_path, capsys):
             code, out, err = run(capsys, "orient", str(path), *mode, "--fix", fix)
             assert code == 1 and out == ""
             assert len(err.splitlines()) == 1 and "more than once" in err
+
+
+def test_orient_fix_rejects_a_non_edge(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(Graph(3, [(0, 1), (1, 2)])) + "\n")
+    for fix in ("0>2", "5>0", "0>-1"):
+        for mode in ([], ["--count"], ["--all"]):
+            code, out, err = run(capsys, "orient", str(path), *mode, "--fix", fix)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and "not an edge" in err
+
+
+def test_classify_and_orient_on_k50(tmp_path, capsys):
+    # 1225 edges: deeper than Python's recursion limit
+    code, out, err = run(capsys, "generate", "K", "50")
+    assert code == 0
+    path = tmp_path / "in.g6"
+    path.write_text(out)
+    code, out, err = run(capsys, "classify", "--witness", str(path))
+    assert code == 0
+    g, status, _, extra = out.rstrip("\n").split("\t")
+    assert status == "representable" and extra.startswith("orientation=")
+    assert is_semi_transitive(orient_by_bits(parse_graph6(g), extra[len("orientation="):]))
+    code, out, err = run(capsys, "orient", str(path))
+    assert code == 0
+    g, bits = out.rstrip("\n").split("\t")
+    assert is_semi_transitive(orient_by_bits(parse_graph6(g), bits))
 
 
 def test_orient_all_lists_every_orientation(tmp_path, capsys):

@@ -115,6 +115,17 @@ def test_graph6_errors_carry_offsets():
     assert parse_graph6(">>graph6<<Bw") == families.complete(3)
 
 
+def test_graph6_rejects_non_zero_padding():
+    # the last data byte's unused low bits must be zero: "Bx" is "Bw"
+    # (K3, 3 bits + 3 padding) with the lowest padding bit set
+    for text, offset in (("Bx", 1), ("A@", 1), ("D?@", 2), (">>graph6<<Bx", 11)):
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6(text)
+        assert err.value.offset == offset and "padding" in str(err.value)
+    # no padding to check when the bits fill the last byte (n = 4: 6 bits)
+    assert parse_graph6("C~") == families.complete(4)
+
+
 def test_graph_construction_validation():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])

@@ -26,6 +26,11 @@ from wordrep.orient import (
 from conftest import EXHAUSTIVE, random_graph
 
 
+def cocktail_party(k: int) -> Graph:
+    n = 2 * k
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u + k])
+
+
 def test_oriented_graph_validation():
     g = families.complete(3)
     with pytest.raises(ValueError):
@@ -242,6 +247,24 @@ def test_engine_with_fixed_arcs_matches_brute_force(rng):
         assert set(semi_transitive_orientations(g, fixed)) == set(brute)
 
 
+def test_engine_rejects_out_of_range_fixed_arcs():
+    k3 = families.complete(3)
+    for arc in ((5, 0), (0, 5), (0, -1), (-1, 2), (1, 1)):
+        with pytest.raises(ValueError, match="not an edge of g"):
+            next(semi_transitive_orientations(k3, [arc]))
+        with pytest.raises(ValueError, match="not an edge of g"):
+            count_semi_transitive_extensions(k3, [arc])
+
+
+def test_searches_handle_cocktail_party_k_2x23():
+    # 46 vertices, 1012 edges: deeper than Python's recursion limit
+    g = cocktail_party(23)
+    og = find_semi_transitive_orientation(g)
+    assert og is not None and is_semi_transitive(og)
+    og = find_transitive_orientation(g)
+    assert og is not None and is_transitive(og)
+
+
 def test_search_self_validates(rng):
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 7), 0.5)
@@ -268,6 +291,14 @@ def test_orientation_bits_round_trip(rng):
         assert orientation_bits(og) == bits
     with pytest.raises(ValueError):
         orient_by_bits(families.complete(3), "01")
+
+
+def test_all_orientations_run_in_bitstring_order():
+    # mask m gives the orientation whose bit i is bit i of m
+    g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    listed = [orientation_bits(og) for og in all_orientations(g)]
+    assert listed == [format(m, "04b")[::-1] for m in range(16)]
+    assert [og.out for og in all_orientations(Graph(2))] == [(0, 0)]
 
 
 def test_dot_output():
@@ -300,3 +331,28 @@ def test_has_transitive_orientation_known_cases():
     assert not has_transitive_orientation(families.named("B1"))
     assert not has_transitive_orientation(families.named("B2"))
     assert not has_transitive_orientation(families.named("B3"))
+
+
+def test_transitive_orientation_matches_brute_force_up_to_5():
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            og = find_transitive_orientation(g)
+            assert (og is not None) == any(is_transitive(o) for o in all_orientations(g))
+            assert og is None or (is_transitive(og) and og.base == g)
+
+
+def test_transitive_orientation_on_random_poset_graphs(rng):
+    # the comparability graph of a random poset, relabelled at random
+    for _ in range(12):
+        n = rng.randint(30, 45)
+        below = [0] * n  # below[j]: the elements under j in the poset
+        for j in range(n):
+            for i in range(j):
+                if rng.random() < 0.08:
+                    below[j] |= below[i] | 1 << i
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Graph(n, [(perm[i], perm[j]) for j in range(n) for i in range(j)
+                      if below[j] >> i & 1])
+        og = find_transitive_orientation(g)
+        assert og is not None and og.base == g and is_transitive(og)
