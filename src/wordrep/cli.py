@@ -275,23 +275,27 @@ def cmd_orient(args) -> int:
             continue
         try:  # the engine rejects fixed arcs that do not fit g
             if args.count:
-                print(f"{g6}\t{count_semi_transitive_extensions(g, fixed)}")
-                continue
-            if args.all:
+                count = count_semi_transitive_extensions(g, fixed)
+            elif args.all:
                 # all_orientations order: by mask, whose bit i is character i
                 found = sorted(
                     (orientation_bits(og) for og in semi_transitive_orientations(g, fixed)),
                     key=lambda bits: bits[::-1],
                 )
-                for bits in found:
-                    print(f"{g6}\t{bits}")
-                if not found:
-                    print(f"{g6}\tnone")
-                continue
-            og = next(semi_transitive_orientations(g, fixed), None)
+            else:
+                og = next(semi_transitive_orientations(g, fixed), None)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 1
+        if args.count:
+            print(f"{g6}\t{count}")
+            continue
+        if args.all:
+            for bits in found:
+                print(f"{g6}\t{bits}")
+            if not found:
+                print(f"{g6}\tnone")
+            continue
         if og is None:
             print(f"{g6}\tnone")
             continue
