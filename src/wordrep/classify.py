@@ -4,7 +4,9 @@ graphs and a top-level classification dispatcher.
 Two exact characterizations are implemented: for split graphs whose
 independent vertices all have degree at most two (avoid T2 and the
 A_l family), and for split graphs with clique size exactly four (avoid
-T1, T2, T3, T4).  Everything else falls back to the exhaustive
+T1, T2, T3, T4).  Before them, a reduced graph with clique size at most
+three, or with a transitive orientation (found by the G-decomposition),
+is representable.  Everything else falls back to the exhaustive
 orientation search.  Each question has one production route: the
 split partition is computed once and passed down, and the A_l scan
 runs only its structural search.  Under verify=True every fast path is
@@ -24,14 +26,10 @@ from .orient import (
     OracleDisagreement,
     OrientedGraph,
     find_semi_transitive_orientation,
+    has_transitive_orientation,
     is_word_representable,
 )
-from .split import (
-    SplitPartition,
-    _reduce_with_map,
-    is_split_comparability,
-    split_partition,
-)
+from .split import SplitPartition, _reduce_with_map, split_partition
 
 REASON_CLIQUE_LE_3 = "CLIQUE_LE_3"
 REASON_COMPARABILITY = "COMPARABILITY"
@@ -204,7 +202,7 @@ def classify_split(
     found = None
     if rsp.m <= 3:
         verdict = Verdict(True, REASON_CLIQUE_LE_3)
-    elif is_split_comparability(reduced):
+    elif has_transitive_orientation(reduced):
         verdict = Verdict(True, REASON_COMPARABILITY)
     elif all(reduced.degree(v) <= 2 for v in rsp.independent):
         verdict = _relabel(classify_degree_two(rsp), labels)

@@ -11,6 +11,7 @@ disagreed - worth reporting, not suppressing).
 from __future__ import annotations
 
 import argparse
+import fileinput
 import json
 import os
 import sys
@@ -32,51 +33,45 @@ from .orient import (
     count_semi_transitive_extensions,
     find_semi_transitive_orientation,
     is_semi_transitive,
-    is_word_representable,
     orient_by_bits,
     orientation_bits,
     semi_transitive_orientations,
     to_dot,
 )
-from .split import KIND_INVALID, check_relative_order, classify_all, split_partition
+from .split import (
+    KIND_INVALID,
+    SplitPartition,
+    check_relative_order,
+    classify_all,
+    split_partition,
+)
 from .words import find_representant, format_word, parse_word, represents
 
 LARGE_CENSUS_VAR = "WORDREP_ALLOW_LARGE_CENSUS"
 
 
-def _read_graph_lines(paths: list[str]) -> list[tuple[int, str]]:
-    """Numbered non-blank input lines from files or stdin."""
-    lines: list[tuple[int, str]] = []
-    if not paths or paths == ["-"]:
-        raw = sys.stdin.read().splitlines()
-        lines.extend((i + 1, s) for i, s in enumerate(raw) if s.strip())
-    else:
-        lineno = 0
-        for path in paths:
-            with open(path) as fh:
-                for s in fh.read().splitlines():
-                    lineno += 1
-                    if s.strip():
-                        lines.append((lineno, s))
-    return lines
-
-
-def _parse_inputs(paths: list[str]) -> tuple[list[tuple[int, Graph]], int]:
-    """Parse graph6 lines; returns (parsed, error_count) and reports
-    failures with line numbers on stderr."""
-    parsed: list[tuple[int, Graph]] = []
+def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
+    """Parse the graph6 lines of files or stdin; returns (graphs,
+    error_count) and reports each failure on stderr with its line
+    number, prefixed by the file name unless it came from stdin."""
+    parsed: list[Graph] = []
     errors = 0
-    for lineno, line in _read_graph_lines(paths):
-        try:
-            parsed.append((lineno, parse_graph6(line.strip())))
-        except Graph6Error as exc:
-            errors += 1
-            print(f"line {lineno}: {exc}", file=sys.stderr)
+    with fileinput.FileInput(paths or ["-"]) as lines:
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                parsed.append(parse_graph6(line))
+            except Graph6Error as exc:
+                errors += 1
+                where = "" if lines.isstdin() else f"{lines.filename()}: "
+                print(f"{where}line {lines.filelineno()}: {exc}", file=sys.stderr)
     return parsed, errors
 
 
-def _verdict_for(g: Graph, verify: bool, witness: bool) -> Verdict:
-    sp = split_partition(g)
+def _verdict_for(g: Graph, sp: SplitPartition | None, verify: bool, witness: bool) -> Verdict:
+    """Classify g, given its split partition (None when g is not split)."""
     if sp is not None:
         return classify_split(sp, verify=verify, want_orientation=witness)
     og = find_semi_transitive_orientation(g)
@@ -89,8 +84,8 @@ def _verdict_for(g: Graph, verify: bool, witness: bool) -> Verdict:
 
 def cmd_classify(args) -> int:
     parsed, errors = _parse_inputs(args.inputs)
-    for lineno, g in parsed:
-        verdict = _verdict_for(g, args.verify, args.witness)
+    for g in parsed:
+        verdict = _verdict_for(g, split_partition(g), args.verify, args.witness)
         g6 = write_graph6(g)
         if args.json:
             payload = {"graph6": g6, **verdict.to_json()}
@@ -132,10 +127,7 @@ def cmd_census(args) -> int:
         if args.filter == "split" and sp is None:
             continue
         total += 1
-        if sp is not None:
-            verdict = classify_split(sp)
-        else:
-            verdict = Verdict(is_word_representable(g), REASON_ORACLE)
+        verdict = _verdict_for(g, sp, verify=False, witness=False)
         key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
         counts[key] = counts.get(key, 0) + 1
         if not verdict.representable:
@@ -238,8 +230,7 @@ def _classify_types_lines(g: Graph, og) -> int:
         return 1
     for rep in reports:
         print(json.dumps(rep.to_json()))
-    typed = [r for r in reports if r.kind != KIND_INVALID]
-    if len(typed) == len(reports):
+    if all(r.kind != KIND_INVALID for r in reports):
         for violation in check_relative_order(sp, reports):
             print(json.dumps(violation.to_json()))
     return 0
@@ -249,6 +240,10 @@ def cmd_orient(args) -> int:
     if args.bits is not None and args.fix:
         print("--bits inspects one exact orientation; it cannot take --fix", file=sys.stderr)
         return 1
+    if (args.count or args.all) and (args.dot or args.classify_types):
+        print("--dot and --classify-types show one orientation; they cannot take --count or --all",
+              file=sys.stderr)
+        return 1
     try:
         fixed = _parse_fix(args.fix)
     except ValueError as exc:
@@ -256,7 +251,7 @@ def cmd_orient(args) -> int:
         return 1
     parsed, errors = _parse_inputs(args.inputs)
     status = 1 if errors else 0
-    for _, g in parsed:
+    for g in parsed:
         g6 = write_graph6(g)
         if args.bits is not None:
             try:
@@ -316,7 +311,7 @@ def cmd_orient(args) -> int:
 def cmd_represent(args) -> int:
     parsed, errors = _parse_inputs(args.inputs)
     status = 1 if errors else 0
-    for _, g in parsed:
+    for g in parsed:
         g6 = write_graph6(g)
         if args.check is not None:
             try:

@@ -4,7 +4,10 @@ A split graph partitions into a maximal clique K_m and an independent
 set; equivalently it contains no induced C4, C5 or 2K2.  Recognition
 and the partition come from the degree sequence alone (Hammer and
 Simeone); the forbidden-subgraph characterisation is the test suite's
-oracle for it.  Under any semi-transitive orientation the clique is
+oracle for it.  Whether a split graph is a comparability graph is
+decided by the G-decomposition in ``orient``; the scan for the
+forbidden induced subgraphs B1-B3 is the tests' oracle for that.
+Under any semi-transitive orientation the clique is
 oriented transitively, fixing a Hamiltonian directed path through it,
 and every independent vertex falls into one of three patterns relative
 to that path:
@@ -30,9 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import Graph, _bits, contains_induced
-from .orient import OracleDisagreement, OrientedGraph, is_semi_transitive
-from . import families
+from .graphs import Graph, _bits
+from .orient import (
+    OracleDisagreement,
+    OrientedGraph,
+    has_transitive_orientation,
+    is_semi_transitive,
+)
 
 
 @dataclass(frozen=True)
@@ -129,16 +136,13 @@ def reduce_split(sp: SplitPartition) -> SplitPartition:
 def is_split_comparability(g: Graph) -> bool:
     """Does the split graph g admit a transitive orientation?
 
-    Decided by scanning for the three forbidden induced subgraphs; the
-    direct orientation search cross-checks this in the tests.
+    Decided by the G-decomposition (``has_transitive_orientation``);
+    the tests check it against the scan for the forbidden induced
+    subgraphs B1-B3.  Raises ValueError when g is not split.
     """
-    sp = split_partition(g)
-    if sp is None:
+    if not is_split(g):
         raise ValueError("input graph is not split")
-    for tag in ("B1", "B2", "B3"):
-        if contains_induced(g, families.named(tag)) is not None:
-            return False
-    return True
+    return has_transitive_orientation(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,30 @@
+"""The benchmark's traced runs (``wrbench/spans.py``) wrap library
+functions looked up by name; each of those names must still exist."""
+
+import ast
+import importlib
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "wrbench" / "spans.py"
+
+
+def _targets():
+    """The ``TARGETS`` tuple of ``wrbench/spans.py``, read without
+    importing the benchmark."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS in {SPANS}")
+
+
+def test_every_traced_name_resolves():
+    targets = _targets()
+    assert targets
+    missing = [
+        f"{module}.{name}"
+        for module, name in targets
+        if not callable(getattr(importlib.import_module(f"wordrep.{module}"), name, None))
+    ]
+    assert missing == []

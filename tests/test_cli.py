@@ -1,5 +1,6 @@
 """CLI surface: line protocols, JSON schemas, exit codes."""
 
+import io
 import json
 
 from wordrep import families
@@ -56,6 +57,29 @@ def test_classify_parse_errors_exit_1(tmp_path, capsys):
     assert code == 1
     assert "line 2" in err
     assert len(out.splitlines()) == 1  # the good line still classified
+
+
+def test_parse_errors_name_the_file_and_its_own_line(tmp_path, capsys):
+    first = tmp_path / "a.g6"
+    first.write_text(f"{g6('W5')}\n{g6('T1')}\n{g6('K', 4)}\n")
+    second = tmp_path / "b.g6"
+    second.write_text(f"\x01bogus\n{g6('K', 3)}\n")
+    code, out, err = run(capsys, "classify", str(first), str(second))
+    assert code == 1
+    assert len(out.splitlines()) == 4
+    assert len(err.splitlines()) == 1 and err.startswith(f"{second}: line 1: ")
+
+
+def test_classify_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{g6('K', 4)}\n\n\x01bogus\n{g6('W5')}\n"))
+    code, out, err = run(capsys, "classify")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split("\t")[1:3] for line in lines] == [
+        ["representable", "COMPARABILITY"],
+        ["non-representable", "ORACLE_SEARCH"],
+    ]
+    assert len(err.splitlines()) == 1 and err.startswith("line 3: ")
 
 
 def test_census_small(capsys):
@@ -241,6 +265,16 @@ def test_orient_bits_rejects_search_options(tmp_path, capsys):
     assert out.splitlines()[0] == "Bw\t000\tsemi-transitive"
 
 
+def test_orient_count_and_all_reject_single_orientation_output(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(g6("K_TRIANGLE", 3) + "\n")
+    for mode in ("--count", "--all"):
+        for extra in ("--dot", "--classify-types"):
+            code, out, err = run(capsys, "orient", str(path), mode, extra)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1 and mode in err and extra in err
+
+
 def test_represent_roundtrip(tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text(f"{g6('K', 3)}\n{g6('W5')}\n")
@@ -286,7 +320,7 @@ def test_internal_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     from wordrep.orient import OracleDisagreement
     import wordrep.cli as cli
 
-    def boom(g, verify, witness):
+    def boom(*args, **kwargs):
         raise OracleDisagreement("synthetic disagreement")
 
     monkeypatch.setattr(cli, "_verdict_for", boom)

@@ -3,6 +3,7 @@ comparability test, vertex typing, relative-order restrictions, the
 structural semi-transitivity characterization, and A/B flips."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -12,7 +13,6 @@ from wordrep.graphs import Graph, contains_induced, enumerate_graphs
 from wordrep.orient import (
     OrientedGraph,
     all_orientations,
-    has_transitive_orientation,
     is_semi_transitive,
     is_word_representable,
     orient_by_bits,
@@ -44,6 +44,15 @@ def _is_split_by_forbidden(g):
     return True
 
 
+def _is_split_comparability_by_forbidden(g):
+    """Oracle: a split graph is a comparability graph iff it has no
+    induced B1, B2 or B3."""
+    for tag in ("B1", "B2", "B3"):
+        if contains_induced(g, families.named(tag)) is not None:
+            return False
+    return True
+
+
 def _split_cliques(g):
     """Oracle: the maximal cliques whose complement is independent
     (found by networkx), each as a sorted tuple, in ascending order."""
@@ -69,6 +78,12 @@ def _split_partition_by_cliques(g):
     return cliques[0], tuple(v for v in range(g.n) if v not in cliques[0])
 
 
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def _random_split_graph_with_ties(rng, n):
     """A relabelled split graph whose clique has vertices without
     independent neighbours, some of them missed by exactly one
@@ -84,9 +99,17 @@ def _random_split_graph_with_ties(rng, n):
             edges += [(c, w) for c in range(m) if c != missed]
         else:
             edges += [(c, w) for c in rng.sample(others, rng.randint(0, max(len(others) - 1, 0)))]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return _relabelled(rng, Graph(n, edges))
+
+
+def _random_threshold_graph(rng, n):
+    """A relabelled threshold graph: a clique plus independent vertices
+    whose neighbourhoods are prefixes of it, hence nested.  Threshold
+    graphs are split comparability graphs."""
+    m = rng.randint(1, n)
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges += [(c, w) for w in range(m, n) for c in range(rng.randint(0, m - 1))]
+    return _relabelled(rng, Graph(n, edges))
 
 
 def split_graphs_up_to(nmax):
@@ -201,9 +224,22 @@ def test_is_split_comparability_examples():
 
 
 def test_is_split_comparability_matches_direct_search():
-    nmax = 7 if EXHAUSTIVE else 6
-    for g, _ in split_graphs_up_to(nmax):
-        assert is_split_comparability(g) == has_transitive_orientation(g)
+    # the G-decomposition against the B1-B3 scan, on every split class
+    # with n <= 7 and on seeded random split graphs with n <= 14
+    for g, _ in split_graphs_up_to(7):
+        assert is_split_comparability(g) == _is_split_comparability_by_forbidden(g), g.edges()
+    rng = random.Random(14)
+    answers = set()
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        threshold = _random_threshold_graph(rng, n)
+        assert is_split_comparability(threshold), threshold.edges()
+        assert _is_split_comparability_by_forbidden(threshold), threshold.edges()
+        g = _relabelled(rng, random_split_graph(rng, n))
+        answer = is_split_comparability(g)
+        assert answer == _is_split_comparability_by_forbidden(g), g.edges()
+        answers.add(answer)
+    assert answers == {False, True}
 
 
 def test_clique_path():
