@@ -28,6 +28,7 @@ from .orient import (
     find_semi_transitive_orientation,
     has_transitive_orientation,
     is_word_representable,
+    orientation_bits,
 )
 from .split import SplitPartition, _reduce_with_map, split_partition
 
@@ -54,8 +55,6 @@ class Verdict:
     witness_orientation: OrientedGraph | None = None
 
     def to_json(self) -> dict:
-        from .orient import orientation_bits
-
         witness = None
         if self.witness_pattern is not None:
             name, emb = self.witness_pattern

@@ -11,7 +11,6 @@ disagreed - worth reporting, not suppressing).
 from __future__ import annotations
 
 import argparse
-import fileinput
 import json
 import os
 import sys
@@ -52,12 +51,24 @@ LARGE_CENSUS_VAR = "WORDREP_ALLOW_LARGE_CENSUS"
 
 def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
     """Parse the graph6 lines of files or stdin; returns (graphs,
-    error_count) and reports each failure on stderr with its line
-    number, prefixed by the file name unless it came from stdin."""
+    error_count) and reports each failure on stderr: an unreadable file
+    as one line naming it, a bad line with its line number, prefixed by
+    the file name unless it came from stdin."""
     parsed: list[Graph] = []
     errors = 0
-    with fileinput.FileInput(paths or ["-"]) as lines:
-        for line in lines:
+    for path in paths or ["-"]:
+        try:
+            if path == "-":
+                text = sys.stdin.read()
+            else:
+                with open(path) as handle:
+                    text = handle.read()
+        except OSError as exc:
+            errors += 1
+            print(f"{path}: {exc.strerror}", file=sys.stderr)
+            continue
+        where = "" if path == "-" else f"{path}: "
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
@@ -65,8 +76,7 @@ def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
                 parsed.append(parse_graph6(line))
             except Graph6Error as exc:
                 errors += 1
-                where = "" if lines.isstdin() else f"{lines.filename()}: "
-                print(f"{where}line {lines.filelineno()}: {exc}", file=sys.stderr)
+                print(f"{where}line {lineno}: {exc}", file=sys.stderr)
     return parsed, errors
 
 
@@ -253,23 +263,10 @@ def cmd_orient(args) -> int:
     status = 1 if errors else 0
     for g in parsed:
         g6 = write_graph6(g)
-        if args.bits is not None:
-            try:
+        try:  # a bad --bits string, or fixed arcs that do not fit g
+            if args.bits is not None:
                 og = orient_by_bits(g, args.bits)
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 1
-            verdict = "semi-transitive" if is_semi_transitive(og) else "not-semi-transitive"
-            print(f"{g6}\t{args.bits}\t{verdict}")
-            if args.dot:
-                print(to_dot(og))
-            if args.classify_types:
-                code = _classify_types_lines(g, og)
-                if code:
-                    return code
-            continue
-        try:  # the engine rejects fixed arcs that do not fit g
-            if args.count:
+            elif args.count:
                 count = count_semi_transitive_extensions(g, fixed)
             elif args.all:
                 # all_orientations order: by mask, whose bit i is character i
@@ -286,15 +283,16 @@ def cmd_orient(args) -> int:
             print(f"{g6}\t{count}")
             continue
         if args.all:
-            for bits in found:
+            for bits in found or ["none"]:
                 print(f"{g6}\t{bits}")
-            if not found:
-                print(f"{g6}\tnone")
             continue
-        if og is None:
-            print(f"{g6}\tnone")
-            continue
-        print(f"{g6}\t{orientation_bits(og)}")
+        if args.bits is not None:
+            verdict = "semi-transitive" if is_semi_transitive(og) else "not-semi-transitive"
+            print(f"{g6}\t{args.bits}\t{verdict}")
+        else:
+            print(f"{g6}\t{'none' if og is None else orientation_bits(og)}")
+            if og is None:
+                continue
         if args.dot:
             print(to_dot(og))
         if args.classify_types:
@@ -419,3 +417,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

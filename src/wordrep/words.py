@@ -6,16 +6,23 @@ alternating sequence xyxy... or yxyx... (of any length).  A word
 represents a graph on vertices 0..n-1 when its alphabet is exactly
 {0..n-1} and the alternating pairs are exactly the edges.
 
+One pair rule serves the alternation graph, the defect report and the
+search: with ``pos[c]`` the index of c's last copy (-1 before its
+first), placing c again repeats the pair {c, d} exactly when d's last
+copy comes before c's (``_repeats``).  ``alternate`` is the independent
+per-pair scan that the tests check the rule against.
+
 Only a bounded witness search is offered here (uniform words up to a
-caller-chosen uniformity); deciding representability outright is the
-business of the orientation module.
+caller-chosen uniformity), a depth-first loop over an explicit stack;
+deciding representability outright is the business of the orientation
+module.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 Word = tuple[int, ...]
 
@@ -47,23 +54,29 @@ def alternate(w: Iterable[int], x: int, y: int) -> bool:
     return ok
 
 
-def _broken_pairs(w: Iterable[int]) -> set[tuple[int, int]]:
-    """Pairs (a, b), a < b, of word letters whose projection contains a
-    repeat.  Copies preceding the partner's first occurrence count, so
-    the pair history runs over the whole alphabet from the start."""
-    w = tuple(w)
-    letters = sorted(set(w))
-    last: dict[tuple[int, int], int] = {}
-    broken: set[tuple[int, int]] = set()
-    for c in w:
-        for d in letters:
-            if d == c:
-                continue
-            key = (c, d) if c < d else (d, c)
-            if last.get(key) == c:
-                broken.add(key)
-            else:
-                last[key] = c
+def _repeats(pos: list[int], c: int) -> int:
+    """Mask of the letters d whose pair with c repeats when c is placed
+    again: d's last copy comes before c's, and a d never seen counts
+    too.  Zero on c's first copy."""
+    p = pos[c]
+    mask = 0
+    for d, q in enumerate(pos):
+        if q < p:
+            mask |= 1 << d
+    return mask
+
+
+def _broken(w: Word, n: int) -> list[int]:
+    """Per letter of 0..n-1, the mask of letters whose pair with it
+    repeats somewhere in w (a symmetric relation)."""
+    pos = [-1] * n
+    broken = [0] * n
+    for i, c in enumerate(w):
+        broken[c] |= _repeats(pos, c)
+        pos[c] = i
+    for a in range(n):
+        for b in _bits(broken[a]):
+            broken[b] |= 1 << a
     return broken
 
 
@@ -76,14 +89,8 @@ def alternation_graph(w: Iterable[int], n: int) -> Graph:
     alpha = set(w)
     if alpha != set(range(n)):
         raise ValueError(f"alphabet {sorted(alpha)} is not 0..{n - 1}")
-    broken = _broken_pairs(w)
-    edges = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if (a, b) not in broken
-    ]
-    return Graph(n, edges)
+    full = (1 << n) - 1
+    return Graph._from_adj(n, tuple(full & ~(m | 1 << a) for a, m in enumerate(_broken(w, n))))
 
 
 def represents(w: Iterable[int], g: Graph) -> bool:
@@ -94,19 +101,18 @@ def represents(w: Iterable[int], g: Graph) -> bool:
 
 def representation_defect(w: Iterable[int], g: Graph) -> str | None:
     """None when w represents g, otherwise a short description of the
-    first discrepancy found."""
+    first discrepancy, in (a, b) lexicographic order."""
     w = tuple(w)
     alpha = set(w)
     if alpha != set(range(g.n)):
         return f"alphabet {sorted(alpha)} does not match vertex set 0..{g.n - 1}"
-    broken = _broken_pairs(w)
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            alternates = (a, b) not in broken
-            if alternates and not g.adjacent(a, b):
+    for a, alt in enumerate(alternation_graph(w, g.n).adj):
+        diff = alt ^ g.adj[a]  # rows before a agree, so bits below a are clear
+        if diff:
+            b = (diff & -diff).bit_length() - 1
+            if alt >> b & 1:
                 return f"letters {a},{b} alternate but {{{a},{b}}} is not an edge"
-            if not alternates and g.adjacent(a, b):
-                return f"letters {a},{b} do not alternate but {{{a},{b}}} is an edge"
+            return f"letters {a},{b} do not alternate but {{{a},{b}}} is an edge"
     return None
 
 
@@ -133,74 +139,40 @@ def find_representant(g: Graph, max_uniformity: int) -> Word | None:
 
 
 def _search_uniform(g: Graph, k: int) -> Word | None:
-    """Backtracking search for a k-uniform representant of g.
+    """Depth-first search for a k-uniform representant of g.
 
-    The pair state tracks, for every letter pair, which letter of the
-    pair occurred last and whether the pair is already broken (has a
-    repeat in its projection).  An edge pair that breaks prunes the
-    branch at once; a non-edge pair must be broken by the time both
-    letters are used up.
+    A stack entry is (letter to place, parent's word, remaining copies,
+    pos, broken masks, used-up mask).  Siblings share the parent's
+    state, which is copied on pop and never mutated.  Placing a letter
+    prunes when it repeats an edge pair; using it up prunes when it
+    still alternates with a used-up non-neighbour.  Letters are pushed
+    in descending order, so the lexicographically least word comes
+    first, and only letter 0 may start the word (the cyclic-shift cut).
     """
     n = g.n
-    total = n * k
-    remaining = [k] * n
-    last = [[-1] * n for _ in range(n)]
-    broken = [[False] * n for _ in range(n)]
-    word: list[int] = []
-
-    def try_place(c: int):
-        """Append c, returning a record for undo, or None to prune."""
-        changed: list[tuple[int, int, int, bool]] = []
-        for d in range(n):
-            if d == c:
+    stack = [(0, (), [k] * n, [-1] * n, [0] * n, 0)]
+    while stack:
+        c, word, remaining, pos, broken, used = stack.pop()
+        repeats = _repeats(pos, c)
+        if repeats & g.adj[c]:
+            continue
+        remaining, pos, broken = remaining[:], pos[:], broken[:]
+        broken[c] |= repeats
+        for d in _bits(repeats):
+            broken[d] |= 1 << c
+        remaining[c] -= 1
+        if not remaining[c]:
+            if used & ~g.adj[c] & ~broken[c]:
                 continue
-            old_last = last[c][d]
-            old_broken = broken[c][d]
-            if old_last == c and not old_broken:
-                if g.adjacent(c, d):
-                    undo_place(changed)  # edge pair would stop alternating
-                    return None
-                changed.append((c, d, old_last, old_broken))
-                broken[c][d] = broken[d][c] = True
-            elif old_last != c:
-                changed.append((c, d, old_last, old_broken))
-                last[c][d] = last[d][c] = c
-        if remaining[c] == 1:
-            # c is exhausted: every exhausted non-edge partner must be broken
-            for d in range(n):
-                if d != c and remaining[d] == 0 and not g.adjacent(c, d) and not broken[c][d]:
-                    undo_place(changed)
-                    return None
-        return changed
-
-    def undo_place(changed) -> None:
-        for c, d, old_last, old_broken in reversed(changed):
-            last[c][d] = last[d][c] = old_last
-            broken[c][d] = broken[d][c] = old_broken
-
-    def extend() -> bool:
-        if len(word) == total:
-            return True
-        candidates = (0,) if not word else range(n)  # cyclic-shift cut: w[0] = 0
-        for c in candidates:
-            if remaining[c] == 0:
-                continue
-            changed = try_place(c)
-            if changed is None:
-                continue
-            remaining[c] -= 1
-            word.append(c)
-            if extend():
-                return True
-            word.pop()
-            remaining[c] += 1
-            undo_place(changed)
-        return False
-
-    if extend():
-        result = tuple(word)
-        assert represents(result, g)
-        return result
+            used |= 1 << c
+        pos[c] = len(word)
+        word += (c,)
+        if len(word) == n * k:
+            assert represents(word, g)
+            return word
+        for d in range(n - 1, -1, -1):
+            if remaining[d]:
+                stack.append((d, word, remaining, pos, broken, used))
     return None
 
 

@@ -2,12 +2,28 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from wordrep import families
 from wordrep.cli import main
 from wordrep.graphs import Graph, parse_graph6, write_graph6
 from wordrep.orient import orient_by_bits, is_semi_transitive
 from wordrep.words import parse_word, represents
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv):
+    """Run ``python -m wordrep.cli`` in a fresh interpreter on this tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "wordrep.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def run(capsys, *argv):
@@ -329,3 +345,22 @@ def test_internal_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "classify", str(path))
     assert code == 3
     assert "invariant violation" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "orient", "represent"])
+def test_unreadable_input_is_one_stderr_line(tmp_path, command):
+    missing = tmp_path / "missing.g6"
+    good = tmp_path / "in.g6"
+    good.write_text(g6("K", 3) + "\n")
+    proc = run_module(command, str(missing), str(good))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(f"{missing}: ")
+    assert proc.stdout.startswith(g6("K", 3) + "\t")  # the readable file is still processed
+
+
+def test_module_entry_point_matches_main(capsys):
+    proc = run_module("generate", "K", "3")
+    assert proc.returncode == 0
+    assert main(["generate", "K", "3"]) == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -2,12 +2,13 @@
 properties, and the bounded uniform search."""
 
 import random
-from itertools import permutations
+from functools import cache
+from itertools import combinations, permutations
 
 import pytest
 
 from wordrep import families
-from wordrep.graphs import Graph
+from wordrep.graphs import Graph, enumerate_graphs
 from wordrep.words import (
     alternate,
     alternation_graph,
@@ -150,6 +151,58 @@ def test_find_representant_agrees_with_oracle_small():
             else:
                 assert represents(w, g)
                 assert is_word_representable(g)
+
+
+@cache
+def uniform_words(n: int, k: int) -> list[tuple[int, ...]]:
+    """Every k-uniform word over 0..n-1 that starts with 0, in
+    lexicographic order."""
+    return sorted({p for p in permutations(tuple(range(n)) * k) if p[0] == 0})
+
+
+def represents_by_pairs(w, g: Graph) -> bool:
+    return all(alternate(w, a, b) == g.adjacent(a, b) for a, b in combinations(range(g.n), 2))
+
+
+def least_uniform_word(g: Graph, max_uniformity: int):
+    """Brute-force oracle: the first word of ``uniform_words`` that
+    represents g, at the least uniformity that has one."""
+    for k in range(1, max_uniformity + 1):
+        for w in uniform_words(g.n, k):
+            if represents_by_pairs(w, g):
+                return w
+    return None
+
+
+@pytest.mark.parametrize("max_n, max_uniformity", [(4, 1), (4, 2), (3, 3)])
+def test_find_representant_returns_the_least_word(max_n, max_uniformity):
+    for n in range(1, max_n + 1):
+        for g in enumerate_graphs(n):
+            assert find_representant(g, max_uniformity) == least_uniform_word(g, max_uniformity)
+
+
+def test_alternation_graph_and_defect_agree_with_alternate():
+    rng = random.Random(47)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        w = list(range(n)) + [rng.randrange(n) for _ in range(rng.randint(0, 10))]
+        rng.shuffle(w)
+        g = alternation_graph(w, n)
+        h = Graph(n, [(a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.5])
+        expected = None
+        for a, b in combinations(range(n), 2):
+            assert g.adjacent(a, b) == alternate(w, a, b)
+            if expected is None and alternate(w, a, b) != h.adjacent(a, b):
+                expected = (
+                    f"letters {a},{b} alternate but {{{a},{b}}} is not an edge"
+                    if alternate(w, a, b)
+                    else f"letters {a},{b} do not alternate but {{{a},{b}}} is an edge"
+                )
+        assert representation_defect(w, h) == expected
+
+
+def test_find_representant_on_a_large_clique():
+    assert find_representant(families.complete(1000), 1) == tuple(range(1000))
 
 
 def test_word_text_format():
