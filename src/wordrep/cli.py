@@ -185,28 +185,19 @@ def cmd_generate(args) -> int:
     try:
         g = families.named(args.tag, *args.params)
         print(write_graph6(g))  # raises beyond the graph6 short form
+        if args.word:
+            if args.tag != "K_TRIANGLE":
+                raise ValueError(f"no explicit word defined for {args.tag}")
+            w = families.k_triangle_odd_word(*args.params)
+            assert represents(w, g)
+            print(format_word(w))
+        if args.orientation:
+            og = families.canonical_orientation(args.tag, *args.params)
+            print(orientation_bits(og))
+            print(to_dot(og))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    if args.word:
-        try:
-            w = families.k_triangle_odd_word(*args.params) if args.tag == "K_TRIANGLE" else None
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        if w is None:
-            print(f"no explicit word defined for {args.tag}", file=sys.stderr)
-            return 1
-        assert represents(w, g)
-        print(format_word(w))
-    if args.orientation:
-        try:
-            og = families.canonical_orientation(args.tag, *args.params)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(orientation_bits(og))
-        print(to_dot(og))
     return 0
 
 

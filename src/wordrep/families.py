@@ -149,7 +149,10 @@ def cycle(m: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    full = (1 << n) - 1
+    return Graph._from_adj(n, tuple(full ^ 1 << v for v in range(n)))
 
 
 def empty(n: int) -> Graph:

@@ -248,26 +248,30 @@ def _match(
     adjacency among matched vertices agrees both ways; or None."""
     k = len(order)
     mapping = [-1] * pattern.n
-
-    def extend(i: int, used: int) -> bool:
+    if not k:
+        return mapping
+    # back[i]: the neighbours of order[i] matched before it
+    back = [[u for u in order[:i] if pattern.adj[v] >> u & 1] for i, v in enumerate(order)]
+    # an entry (depth, untried candidates, used host vertices, the used
+    # ones the image must see) is pushed back before its child
+    stack = [(0, iter(candidates[0]), 0, 0)]
+    while stack:
+        i, rest, used, want = stack.pop()
+        for w in rest:
+            if not used >> w & 1 and host.adj[w] & used == want:
+                break
+        else:
+            continue
+        stack.append((i, rest, used, want))
+        mapping[order[i]] = w
+        i += 1
         if i == k:
-            return True
-        v = order[i]
-        prow = pattern.adj[v]
-        want = 0  # w must see exactly the images of the matched neighbours
-        for j in range(i):
-            if prow >> order[j] & 1:
-                want |= 1 << mapping[order[j]]
-        for w in candidates[i]:
-            bit = 1 << w
-            if used & bit or host.adj[w] & used != want:
-                continue
-            mapping[v] = w
-            if extend(i + 1, used | bit):
-                return True
-        return False
-
-    return mapping if extend(0, 0) else None
+            return mapping
+        want = 0
+        for u in back[i]:
+            want |= 1 << mapping[u]
+        stack.append((i, iter(candidates[i]), used | 1 << w, want))
+    return None
 
 
 def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:

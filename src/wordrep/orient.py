@@ -11,18 +11,20 @@ graph is word-representable exactly when it admits a semi-transitive
 orientation, which turns the exhaustive search below into a decision
 procedure.
 
-Two independent shortcut checkers live here: a fast reachability-based
-decision, shared by full orientations and the search's partial ones,
-and a path-enumerating witness finder.  They are kept separate on
-purpose so tests can play one against the other.  One engine,
-``semi_transitive_orientations``, serves finding, counting and listing
-orientations: a depth-first search over edge directions, run as a loop
-over an explicit stack, so its depth is not bounded by Python's
-recursion limit.  The
-brute force over all 2^|E| orientations (``all_orientations``) is the
-tests' oracle for it.  Transitive orientations come from Golumbic's
-G-decomposition, a loop over implication classes that never
-backtracks."""
+Two independent shortcut checkers live here, kept apart so tests can
+play one against the other: a path-enumerating witness finder, and a
+fast decision on reachability and base adjacency alone, shared by full
+orientations and the search's partial ones.  It counts an ancestor a
+of u adjacent to a descendant b of a base non-neighbour v of u as a
+shortcut even while {a, b} is undirected: a reaches b, so every
+acyclic completion directs it a->b.  One engine,
+``semi_transitive_orientations``, finds, counts and lists orientations
+by a depth-first search over edge directions whose state is the
+reachability closure alone, run as a loop over an explicit stack, so
+its depth is not bounded by Python's recursion limit.  The brute force
+over all 2^|E| orientations (``all_orientations``) is its test oracle.
+Transitive orientations come from Golumbic's G-decomposition, a loop
+over implication classes that never backtracks."""
 
 from __future__ import annotations
 
@@ -209,28 +211,27 @@ def _descendants(out: Sequence[int], n: int) -> list[int] | None:
     return reach
 
 
-def _has_shortcut(
-    n: int, out: Sequence[int], reach: Sequence[int], anc: Sequence[int],
-    base_adj: Sequence[int],
-) -> bool:
-    """Fast shortcut decision on a DAG given as out-masks, with
-    ``reach[v]``/``anc[v]`` its descendants/ancestors of v, v included.
+def _has_shortcut(adj: Sequence[int], reach: Sequence[int], anc: Sequence[int]) -> bool:
+    """Shortcut decision on an acyclic, full or partial orientation of
+    the base graph ``adj``, given ``reach[v]``/``anc[v]``, the
+    descendants/ancestors of v, v included.
 
     A shortcut exists iff there are vertices u, v, non-adjacent in the
-    base graph, with u reaching v, and a directed edge a->b such that a
-    reaches u and v reaches b: stitching a->..->u->..->v->..->b gives a
+    base graph, with u reaching v, and a base edge {a, b} such that a
+    reaches u and v reaches b.  Then a reaches b, so every acyclic
+    completion directs the edge a->b, and a->..->u->..->v->..->b is a
     path of length >= 3 below the shortcutting edge a->b whose vertex
     set induces a non-transitive subgraph (the pair (u,v) is missing).
-    On a partial orientation a hit survives every completion, because
-    the missing pair is a base non-edge.
+    So a hit on a partial orientation survives every completion, and on
+    a full one the test reads the same as with arcs.
     """
-    for u in range(n):
-        cand = reach[u] & ~(1 << u) & ~base_adj[u]
+    for u, ru in enumerate(reach):
+        cand = ru & ~(1 << u) & ~adj[u]
         if not cand:
             continue
         heads = 0
         for a in _bits(anc[u]):
-            heads |= out[a]
+            heads |= adj[a]
         while cand:
             lb = cand & -cand
             v = lb.bit_length() - 1
@@ -246,11 +247,8 @@ def is_semi_transitive(og: OrientedGraph) -> bool:
     reach = _descendants(og.out, n)
     if reach is None:
         return False
-    anc = [1 << v for v in range(n)]
-    for u in range(n):
-        for v in _bits(reach[u] & ~(1 << u)):
-            anc[v] |= 1 << u
-    return not _has_shortcut(n, og.out, reach, anc, og.base.adj)
+    anc = [sum(1 << u for u, r in enumerate(reach) if r >> v & 1) for v in range(n)]
+    return not _has_shortcut(og.base.adj, reach, anc)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +345,19 @@ def _shortcut_via_edge(
 
 # ---------------------------------------------------------------------------
 # The decision procedure: depth-first search over edge directions with
-# cycle pruning on every assignment and sound partial shortcut pruning,
-# run as a loop over an explicit stack.  A stack entry is one arc still
-# to be placed: its level, its direction and its parent's out/reach/anc
-# lists, which are copied when the entry is popped and never mutated, so
-# siblings share them and nothing is undone.  One engine serves finding,
-# counting and listing orientations.
+# cycle and shortcut pruning on every assignment, run as a loop over an
+# explicit stack.  A stack entry is one arc still to be placed: its
+# level, its direction and its parent's reach/anc lists, which are
+# copied when the entry is popped and never mutated, so siblings share
+# them and nothing is undone.
 
 
-def _add_arc(
-    out: list[int], reach: list[int], anc: list[int], a: int, b: int
-) -> bool:
-    """Direct a->b, closing ``reach``/``anc`` in place; False on a cycle."""
+def _add_arc(reach: list[int], anc: list[int], a: int, b: int) -> bool:
+    """Direct a->b, closing ``reach``/``anc`` in place; False on a cycle.
+
+    The closures are the whole search state: a base edge {a, b} is
+    directed a->b exactly when a reaches b, so no arc masks are kept.
+    """
     rb = reach[b]
     if rb >> a & 1:
         return False
@@ -368,7 +367,6 @@ def _add_arc(
     ab = anc[a]
     for w in _bits(rb):
         anc[w] |= ab
-    out[a] |= 1 << b
     return True
 
 
@@ -393,33 +391,33 @@ def semi_transitive_orientations(
             raise ValueError(f"edge {{{a},{b}}} fixed more than once")
         fixed_mask[a] |= 1 << b
         fixed_mask[b] |= 1 << a
-    out = [0] * n
     reach = [1 << v for v in range(n)]
     anc = [1 << v for v in range(n)]
     for a, b in fixed:
-        if not _add_arc(out, reach, anc, a, b) or _has_shortcut(n, out, reach, anc, g.adj):
+        if not _add_arc(reach, anc, a, b) or _has_shortcut(g.adj, reach, anc):
             return
 
     free = [(u, v) for u, v in g.edges() if not fixed_mask[u] >> v & 1]
     # most-constrained first: descending endpoint-degree sum, then lex
     free.sort(key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
     if not free:
-        yield OrientedGraph._from_out(g, tuple(out))
+        yield OrientedGraph._from_out(g, tuple(map(int.__and__, g.adj, reach)))
         return
     last = len(free) - 1
     # v->u is pushed first so that u->v is explored first
-    stack = [(0, True, out, reach, anc), (0, False, out, reach, anc)]
+    stack = [(0, True, reach, anc), (0, False, reach, anc)]
     while stack:
-        i, flip, out, reach, anc = stack.pop()
-        out, reach, anc = out[:], reach[:], anc[:]
+        i, flip, reach, anc = stack.pop()
+        reach, anc = reach[:], anc[:]
         a, b = free[i][::-1] if flip else free[i]
-        if not _add_arc(out, reach, anc, a, b) or _has_shortcut(n, out, reach, anc, g.adj):
+        if not _add_arc(reach, anc, a, b) or _has_shortcut(g.adj, reach, anc):
             continue
         if i == last:
-            yield OrientedGraph._from_out(g, tuple(out))
+            # every edge is placed: v's out-neighbours are the ones it reaches
+            yield OrientedGraph._from_out(g, tuple(map(int.__and__, g.adj, reach)))
         else:
-            stack.append((i + 1, True, out, reach, anc))
-            stack.append((i + 1, False, out, reach, anc))
+            stack.append((i + 1, True, reach, anc))
+            stack.append((i + 1, False, reach, anc))
 
 
 def find_semi_transitive_orientation(g: Graph) -> OrientedGraph | None:

@@ -141,18 +141,22 @@ def find_representant(g: Graph, max_uniformity: int) -> Word | None:
 def _search_uniform(g: Graph, k: int) -> Word | None:
     """Depth-first search for a k-uniform representant of g.
 
-    A stack entry is (letter to place, parent's word, remaining copies,
+    A stack entry is (letters to try, parent's word, remaining copies,
     pos, broken masks, used-up mask).  Siblings share the parent's
     state, which is copied on pop and never mutated.  Placing a letter
     prunes when it repeats an edge pair; using it up prunes when it
-    still alternates with a used-up non-neighbour.  Letters are pushed
-    in descending order, so the lexicographically least word comes
-    first, and only letter 0 may start the word (the cyclic-shift cut).
+    still alternates with a used-up non-neighbour.  An entry tries its
+    least letter after pushing back the rest, so the lexicographically
+    least word comes first and the stack holds at most two entries per
+    level.  Only letter 0 may start the word (the cyclic-shift cut).
     """
     n = g.n
-    stack = [(0, (), [k] * n, [-1] * n, [0] * n, 0)]
+    stack = [(1, (), [k] * n, [-1] * n, [0] * n, 0)]
     while stack:
-        c, word, remaining, pos, broken, used = stack.pop()
+        letters, word, remaining, pos, broken, used = stack.pop()
+        c = (letters & -letters).bit_length() - 1
+        if letters ^ 1 << c:
+            stack.append((letters ^ 1 << c, word, remaining, pos, broken, used))
         repeats = _repeats(pos, c)
         if repeats & g.adj[c]:
             continue
@@ -170,9 +174,7 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
         if len(word) == n * k:
             assert represents(word, g)
             return word
-        for d in range(n - 1, -1, -1):
-            if remaining[d]:
-                stack.append((d, word, remaining, pos, broken, used))
+        stack.append(((1 << n) - 1 & ~used, word, remaining, pos, broken, used))
     return None
 
 

@@ -165,6 +165,10 @@ def test_generate_errors(capsys):
     code, out, err = run(capsys, "generate", "T4", "--orientation")
     assert code == 1
     assert "no canonical orientation" in err
+    code, out, err = run(capsys, "generate", "T4", "--word")
+    assert (code, out, err) == (1, "G~rcd_\n", "no explicit word defined for T4\n")
+    code, out, err = run(capsys, "generate", "K_TRIANGLE", "4", "--word")
+    assert (code, err) == (1, "the explicit word needs odd l >= 3\n")
     code, out, err = run(capsys, "generate", "K", "63")  # beyond graph6 short form
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "n <= 62" in err

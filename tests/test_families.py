@@ -91,6 +91,13 @@ def test_simple_families():
         families.cycle(2)
 
 
+def test_complete_has_every_pair():
+    for n in range(9):
+        assert families.complete(n) == Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    with pytest.raises(ValueError, match="non-negative"):
+        families.complete(-1)
+
+
 def test_named_graphs_split_status():
     non_split = {"CO_T2", "FIG4_RIGHT", "TWO_K2"}
     for tag in ("T1", "T2", "T3", "T4", "B1", "B2", "B3", "M", "M1", "M2",

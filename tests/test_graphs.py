@@ -219,6 +219,29 @@ def test_contains_induced_examples():
     assert contains_induced(w5, Graph(0)) == Embedding(())
 
 
+def test_contains_induced_returns_the_least_embedding():
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(3, 7)
+        host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        k = rng.randint(1, 4)
+        pat = Graph(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.5])
+        maps = [m for m in itertools.permutations(range(n), k) if Embedding(m).is_valid(host, pat)]
+        emb = contains_induced(host, pat)
+        assert (emb and emb.mapping) == (min(maps) if maps else None)
+
+
+def test_matcher_handles_a_1200_vertex_path():
+    # one matcher depth per pattern vertex: deeper than Python's recursion limit
+    n = 1200
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    perm = list(range(n))
+    random.Random(5).shuffle(perm)
+    relabelled = Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
+    assert is_isomorphic(path, relabelled)
+    assert contains_induced(path, path) == Embedding(tuple(range(n)))
+
+
 def test_contains_induced_embedding_induces_pattern():
     rng = random.Random(17)
     patterns = [families.named(t) for t in ("B1", "B2", "T2")] + [families.cycle(4)]

@@ -8,6 +8,8 @@ from wordrep import families
 from wordrep.graphs import Graph, enumerate_graphs
 from wordrep.orient import (
     OrientedGraph,
+    _add_arc,
+    _has_shortcut,
     all_orientations,
     count_semi_transitive_extensions,
     find_semi_transitive_orientation,
@@ -226,13 +228,29 @@ def test_clique_fixed_extensions_have_the_predicted_shape():
 
 
 def test_count_matches_backtracking_engine(rng):
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 6), 0.5)
-        plain = count_semi_transitive_extensions(g, [])
-        engine = list(semi_transitive_orientations(g))
+    graphs = [random_graph(rng, rng.randint(1, 6), 0.5) for _ in range(60)]
+    graphs += [g for n in range(6) for g in enumerate_graphs(n)]
+    for g in graphs:
         brute = [og for og in all_orientations(g) if is_semi_transitive(og)]
-        assert plain == len(engine) == len(brute)
-        assert set(engine) == set(brute)
+        for fixed in [[]] + [[arc] for u, v in g.edges() for arc in ((u, v), (v, u))]:
+            engine = list(semi_transitive_orientations(g, fixed))
+            want = [og for og in brute if all(og.has_arc(a, b) for a, b in fixed)]
+            assert count_semi_transitive_extensions(g, fixed) == len(engine) == len(want)
+            assert len(set(engine)) == len(engine)
+            assert set(engine) == set(want)
+
+
+def test_shortcut_test_reads_base_adjacency_on_partial_orientations():
+    # C4 0-1-2-3-0 with 0->1->2->3 placed and {0,3} free: 0 reaches 3,
+    # so the only acyclic completion is 0->3, a shortcut over 0..3
+    c4 = families.cycle(4)
+    reach = [1 << v for v in range(4)]
+    anc = reach[:]
+    for a, b in ((0, 1), (1, 2), (2, 3)):
+        assert _add_arc(reach, anc, a, b)
+    assert _has_shortcut(c4.adj, reach, anc)
+    assert not _add_arc(reach[:], anc[:], 3, 0)
+    assert not is_semi_transitive(OrientedGraph(c4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
 def test_engine_with_fixed_arcs_matches_brute_force(rng):

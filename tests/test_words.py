@@ -2,6 +2,7 @@
 properties, and the bounded uniform search."""
 
 import random
+import tracemalloc
 from functools import cache
 from itertools import combinations, permutations
 
@@ -203,6 +204,18 @@ def test_alternation_graph_and_defect_agree_with_alternate():
 
 def test_find_representant_on_a_large_clique():
     assert find_representant(families.complete(1000), 1) == tuple(range(1000))
+
+
+def test_word_search_stack_stays_small():
+    # at most two stack entries per level: about 4.7 MB traced for K_400
+    g = families.complete(400)
+    tracemalloc.start()
+    try:
+        assert find_representant(g, 1) == tuple(range(400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_word_text_format():
