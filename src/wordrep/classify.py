@@ -8,17 +8,20 @@ T1, T2, T3, T4).  Before them, a reduced graph with clique size at most
 three, or with a transitive orientation (found by the G-decomposition),
 is representable.  Everything else falls back to the exhaustive
 orientation search.  Each question has one production route: the
-split partition is computed once and passed down, and the A_l scan
-runs only its structural search.  Under verify=True every fast path is
-cross-checked against the orientation oracle; a disagreement raises
-rather than being papered over, because it would falsify one of the
-encoded theorems.
+split partition is computed once and passed down, and the degree-two
+case reads T2 and A_l off its cover graph (see
+``classify_degree_two``), so it runs one induced-subgraph search, and
+only for a pattern it knows is there.  The generic per-l A_l scan
+(``find_a_ell``) is the tests' oracle for that reading.  Under
+verify=True every fast path is cross-checked against the orientation
+oracle, which searches the input graph at most once; a disagreement
+raises rather than being papered over, because it would falsify one of
+the encoded theorems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from . import families
 from .graphs import Embedding, Graph, _bits, contains_induced
@@ -27,7 +30,6 @@ from .orient import (
     OrientedGraph,
     find_semi_transitive_orientation,
     has_transitive_orientation,
-    is_word_representable,
     orientation_bits,
 )
 from .split import SplitPartition, _reduce_with_map, split_partition
@@ -69,69 +71,22 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# The A_l family scan: a structural search for a covered clique cycle
-# plus apex finds the least l, then one induced-subgraph search at that
-# l gives the embedding.  The generic per-l induced-subgraph scan is the
-# test suite's oracle for it.
+# The A_l family scan.  No production route calls it: the degree-two
+# characterization reads A_l off the cover graph, and the tests play
+# this scan against that reading.
 
 
 def find_a_ell(sp: SplitPartition) -> tuple[int, Embedding] | None:
     """Least l >= 4 with a_graph(l) induced in the split graph, with its
     lexicographically least embedding, or None."""
-    l = _find_a_ell_structural(sp)
-    if l is None:
-        return None
-    emb = contains_induced(sp.graph, families.a_graph(l))
-    if emb is None:
-        raise OracleDisagreement(f"covered cycle but no induced A_{l} in {sp.graph!r}")
-    return l, emb
-
-
-def _find_a_ell_structural(sp: SplitPartition) -> int | None:
-    """Least l such that some (l-1)-cycle in the clique is fully covered
-    by independent vertices (each seeing exactly its two cycle
-    neighbours within the cycle set) together with an apex vertex seeing
-    the whole cycle and none of the covers."""
     g = sp.graph
-    clique = sp.clique
-    # a cycle of length r needs r covers of degree >= 2, and each cycle
-    # vertex lies on two cover pairs, so it sees two such covers
-    covers = [p for p in sp.independent if g.degree(p) >= 2]
-    cover_mask = sum(1 << p for p in covers)
-    on_cycle = [v for v in clique if (g.adj[v] & cover_mask).bit_count() >= 2]
-    for r in range(3, min(len(covers), len(on_cycle)) + 1):
-        if 2 * (r + 1) - 1 > g.n:
-            break
-        for cset in combinations(on_cycle, r):
-            cmask = sum(1 << v for v in cset)
-            apexes = [z for z in clique if not cmask >> z & 1]
-            apexes += [
-                z for z in sp.independent if g.adj[z] & cmask == cmask
-            ]
-            for z in apexes:
-                pairs = set()
-                for p in covers:
-                    if p == z or g.adjacent(p, z):
-                        continue
-                    hit = g.adj[p] & cmask
-                    if hit.bit_count() == 2:
-                        pairs.add(tuple(_bits(hit)))
-                if len(pairs) >= r and _has_hamiltonian_cycle(cset, pairs):
-                    return r + 1
+    l = 4
+    while 2 * l - 1 <= g.n:
+        emb = contains_induced(g, families.a_graph(l))
+        if emb is not None:
+            return l, emb
+        l += 1
     return None
-
-
-def _has_hamiltonian_cycle(vertices: tuple[int, ...], pairs: set) -> bool:
-    first, rest = vertices[0], vertices[1:]
-
-    def linked(a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in pairs
-
-    for perm in permutations(rest):
-        cyc = (first,) + perm
-        if all(linked(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +97,52 @@ def _has_hamiltonian_cycle(vertices: tuple[int, ...], pairs: set) -> bool:
 def classify_degree_two(sp: SplitPartition) -> Verdict:
     """Split graphs whose independent vertices have degree at most two
     are word-representable iff they avoid T2 and every A_l as induced
-    subgraphs."""
+    subgraphs.
+
+    Both patterns are read off the cover graph H on the clique: one
+    edge {a, b} per distinct neighbourhood of a degree-2 independent
+    vertex.  T2 is induced iff some clique vertex lies on three edges
+    of H.  Otherwise H is a union of paths and cycles, and A_l is
+    induced iff H has a cycle of length l-1 < m; any clique vertex off
+    the cycle is an apex.  Sound because every pattern vertex of degree
+    three or more lands on a clique vertex (independent ones have
+    degree at most two), and every pattern cover misses some pattern
+    clique vertex, so it lands on an independent vertex whose
+    neighbourhood is exactly its two pattern neighbours.  One induced
+    search then finds the lexicographically least embedding of the
+    pattern the rule named.
+    """
     g = sp.graph
     if any(g.degree(v) > 2 for v in sp.independent):
         raise ValueError("an independent vertex has degree above two")
-    emb = contains_induced(g, families.named("T2"))
-    if emb is not None:
-        return Verdict(False, REASON_MAIN1, witness_pattern=("T2", emb))
-    hit = find_a_ell(sp)
-    if hit is not None:
-        l, emb = hit
-        return Verdict(False, REASON_MAIN1, witness_pattern=(f"A_{l}", emb))
-    return Verdict(True, REASON_MAIN1)
+    cover = [0] * g.n  # cover[a] masks a's neighbours in H
+    for pair in {g.adj[p] for p in sp.independent if g.degree(p) == 2}:
+        a, b = _bits(pair)
+        cover[a] |= 1 << b
+        cover[b] |= 1 << a
+    if any(row.bit_count() >= 3 for row in cover):
+        name, pattern = "T2", families.named("T2")
+    else:
+        # H is a union of paths and cycles: a component is a cycle when
+        # all its vertices lie on two edges, and a cycle through all m
+        # clique vertices leaves no apex
+        lengths = [sp.m]
+        for v in sp.clique:
+            comp, grown = 0, 1 << v
+            while grown != comp:
+                comp = grown
+                for u in _bits(comp):
+                    grown |= cover[u]
+            if all(cover[u].bit_count() == 2 for u in _bits(comp)):
+                lengths.append(comp.bit_count())
+        r = min(lengths)
+        if r == sp.m:
+            return Verdict(True, REASON_MAIN1)
+        name, pattern = f"A_{r + 1}", families.a_graph(r + 1)
+    emb = contains_induced(g, pattern)
+    if emb is None:
+        raise OracleDisagreement(f"cover graph names {name} but it is not induced in {g!r}")
+    return Verdict(False, REASON_MAIN1, witness_pattern=(name, emb))
 
 
 def classify_clique_four(sp: SplitPartition) -> Verdict:
@@ -189,7 +178,9 @@ def classify_split(
 
     verify=True re-decides via the oracle and raises on mismatch;
     want_orientation=True attaches a semi-transitive orientation of the
-    input graph to representable verdicts.
+    input graph to representable verdicts.  Both share one search of the
+    input graph, and the oracle branch's search is reused when nothing
+    was reduced.
     """
     sp = split_partition(split) if isinstance(split, Graph) else split
     if sp is None:
@@ -198,7 +189,7 @@ def classify_split(
     rsp, labels = _reduce_with_map(sp)
     reduced = rsp.graph
 
-    found = None
+    og, searched = None, False  # searched: og is the search's answer on g
     if rsp.m <= 3:
         verdict = Verdict(True, REASON_CLIQUE_LE_3)
     elif has_transitive_orientation(reduced):
@@ -208,22 +199,22 @@ def classify_split(
     elif rsp.m == 4:
         verdict = _relabel(classify_clique_four(rsp), labels)
     else:
-        found = find_semi_transitive_orientation(reduced)
-        verdict = Verdict(found is not None, REASON_ORACLE)
+        og = find_semi_transitive_orientation(reduced)
+        verdict = Verdict(og is not None, REASON_ORACLE)
+        searched = reduced is g  # nothing was reduced
 
-    if want_orientation and verdict.representable:
-        og = found  # the search ran on g itself when nothing was reduced
-        if og is None or reduced is not g:
+    if verify or (want_orientation and verdict.representable):
+        if not searched:
             og = find_semi_transitive_orientation(g)
-        assert og is not None, "fast path said representable, search disagrees"
-        verdict = Verdict(
-            verdict.representable, verdict.reason, verdict.witness_pattern, og
-        )
-    if verify and is_word_representable(g) != verdict.representable:
-        raise OracleDisagreement(
-            f"classification disagrees with the orientation oracle on "
-            f"{g!r}: {verdict.reason} said {verdict.representable}"
-        )
+        if (og is not None) != verdict.representable:
+            raise OracleDisagreement(
+                f"classification disagrees with the orientation oracle on "
+                f"{g!r}: {verdict.reason} said {verdict.representable}"
+            )
+        if want_orientation and og is not None:
+            verdict = Verdict(
+                verdict.representable, verdict.reason, verdict.witness_pattern, og
+            )
     return verdict
 
 

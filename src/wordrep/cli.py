@@ -210,10 +210,11 @@ def _parse_fix(arcspec: str) -> list[tuple[int, int]]:
     each graph."""
     arcs = []
     for part in arcspec.split(",") if arcspec else ():
-        if ">" not in part:
-            raise ValueError(f"bad arc {part!r}; use tail>head")
-        a, b = part.split(">", 1)
-        arcs.append((int(a), int(b)))
+        a, _, b = part.partition(">")  # b is empty when ">" is missing
+        try:
+            arcs.append((int(a), int(b)))
+        except ValueError:
+            raise ValueError(f"bad arc {part!r}; use tail>head") from None
     return arcs
 
 

@@ -38,33 +38,22 @@ def k_triangle(l: int) -> Graph:
     """The clique K_l with one degree-2 vertex per cyclically consecutive
     clique pair: vertex l+i is adjacent to i and (i+1) mod l.
 
-    2l vertices and C(l,2) + 2l edges; split with clique 0..l-1.
+    This is k_ell_k(l, 2): 2l vertices and C(l,2) + 2l edges; split
+    with clique 0..l-1.
     """
     if l < 3:
         raise ValueError("k_triangle needs l >= 3")
-    edges = [(u, v) for u in range(l) for v in range(u + 1, l)]
-    for i in range(l):
-        edges.append((i, l + i))
-        edges.append(((i + 1) % l, l + i))
-    g = Graph(2 * l, edges)
-    assert g.edge_count == l * (l - 1) // 2 + 2 * l
-    return g
+    return k_ell_k(l, 2)
 
 
 def k_triangle_canonical_orientation(l: int) -> OrientedGraph:
     """The standard semi-transitive orientation of k_triangle(l): the
     clique runs 0 -> 1 -> ... -> l-1, attachment vertices l+i for
     i < l-1 are sinks (i -> l+i and i+1 -> l+i), and the last one is
-    threaded 0 -> 2l-1 -> l-1."""
-    g = k_triangle(l)
-    arcs = [(u, v) for u in range(l) for v in range(u + 1, l)]
-    for i in range(l - 1):
-        arcs.append((i, l + i))
-        arcs.append((i + 1, l + i))
-    last = 2 * l - 1
-    arcs.append((0, last))
-    arcs.append((last, l - 1))
-    return OrientedGraph(g, arcs)
+    threaded 0 -> 2l-1 -> l-1.  This is k_ell_k_canonical_orientation(l, 2)."""
+    if l < 3:
+        raise ValueError("k_triangle needs l >= 3")
+    return k_ell_k_canonical_orientation(l, 2)
 
 
 def k_triangle_odd_word(l: int) -> Word:

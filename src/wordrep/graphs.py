@@ -5,9 +5,13 @@ isomorphism classes.
 Vertices are always the integers 0..n-1.  A graph stores one adjacency
 bitmask per vertex, which keeps the search loops elsewhere in this
 package (orientation backtracking, censuses over all graphs of a given
-order) fast enough in pure Python.  Graphs are immutable value objects:
-every function returns fresh values and nothing here keeps hidden
-state, so concurrent use from several threads is safe.
+order) fast enough in pure Python.  Graphs are immutable value objects
+and every function returns fresh values.  Two caches keep state: a
+Graph stores its colour refinement in ``_wl`` on first use, and
+``_catalog`` keeps each order's isomorphism classes for the life of the
+process.  Both hold values that depend on their input alone, so a
+cache hit returns what a recomputation would, and two threads racing
+to fill one store equal values; concurrent use is safe.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ orientation, which turns the exhaustive search below into a decision
 procedure.
 
 Two independent shortcut checkers live here, kept apart so tests can
-play one against the other: a path-enumerating witness finder, and a
-fast decision on reachability and base adjacency alone, shared by full
-orientations and the search's partial ones.  It counts an ancestor a
+play one against the other: a path-enumerating witness finder (a loop
+over an explicit stack, like the engine), and a fast decision on
+reachability and base adjacency alone, shared by full orientations and
+the search's partial ones.  It counts an ancestor a
 of u adjacent to a descendant b of a base non-neighbour v of u as a
 shortcut even while {a, b} is undirected: a reaches b, so every
 acyclic completion directs it a->b.  One engine,
@@ -318,29 +319,30 @@ def find_shortcut(og: OrientedGraph) -> ShortcutWitness | None:
 def _shortcut_via_edge(
     og: OrientedGraph, a: int, b: int, reach: Sequence[int]
 ) -> ShortcutWitness | None:
+    """The depth-first a->..->b path walk of ``find_shortcut``, run as a
+    loop over an explicit stack of untried next vertices (one iterator
+    per path vertex), so a long path does not exhaust Python's
+    recursion limit."""
     out = og.out
-    path = [a]
-
-    def walk(v: int, on_path: int) -> ShortcutWitness | None:
-        if v == b:
-            if len(path) >= 4:
-                for i in range(len(path)):
-                    pi = path[i]
-                    for j in range(i + 1, len(path)):
-                        if not out[pi] >> path[j] & 1:
-                            return ShortcutWitness(tuple(path), (a, b), (pi, path[j]))
-            return None
-        for w in _bits(out[v] & ~on_path):
-            if w != b and not reach[w] >> b & 1:
-                continue
+    path, on_path = [a], 1 << a
+    stack = [iter(_bits(out[a]))]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            on_path ^= 1 << path.pop()
+        elif w == b:
+            if len(path) >= 3:
+                p = path + [b]
+                for i, pi in enumerate(p):
+                    for pj in p[i + 1:]:
+                        if not out[pi] >> pj & 1:
+                            return ShortcutWitness(tuple(p), (a, b), (pi, pj))
+        elif reach[w] >> b & 1:
             path.append(w)
-            result = walk(w, on_path | (1 << w))
-            path.pop()
-            if result is not None:
-                return result
-        return None
-
-    return walk(a, 1 << a)
+            on_path |= 1 << w
+            stack.append(iter(_bits(out[w] & ~on_path)))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""Characterization layer: the A_l scan against its generic oracle, the
-degree-two and clique-four characterizations, and the dispatcher
-against the orientation oracle."""
+"""Characterization layer: the generic A_l scan, the degree-two
+characterization's cover-graph reading against the generic scans, the
+clique-four characterization, and the dispatcher against the
+orientation oracle."""
+
+import random
 
 import pytest
 
@@ -22,21 +25,12 @@ from wordrep.graphs import (
     enumerate_graphs,
     induced_subgraph,
     is_isomorphic,
+    write_graph6,
 )
-from wordrep.orient import is_semi_transitive
+from wordrep.cli import main
+from wordrep.orient import OracleDisagreement, is_semi_transitive
 from wordrep.split import split_partition
 from conftest import EXHAUSTIVE, random_split_graph
-
-
-def _find_a_ell_generic(g):
-    """Oracle: scan l = 4, 5, ... for an induced a_graph(l)."""
-    l = 4
-    while 2 * l - 1 <= g.n:
-        emb = contains_induced(g, families.a_graph(l))
-        if emb is not None:
-            return l, emb
-        l += 1
-    return None
 
 
 def _a_ell(g):
@@ -87,16 +81,96 @@ def test_find_a_ell_apex_selection():
     assert _a_ell(_cover_cycle_host(False, True)) is None
 
 
+def _degree_two_generic(g):
+    """Oracle for the degree-two characterization: the generic scans in
+    its order, an induced T2 first, then the per-l A_l scan."""
+    emb = contains_induced(g, families.named("T2"))
+    if emb is not None:
+        return False, ("T2", emb)
+    hit = _a_ell(g)
+    if hit is not None:
+        return False, (f"A_{hit[0]}", hit[1])
+    return True, None
+
+
+def _clique_with(m, nbhds):
+    """K_m plus one independent vertex per listed clique neighbourhood."""
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    for w, nb in enumerate(nbhds, m):
+        edges += [(c, w) for c in nb]
+    return Graph(m + len(nbhds), edges)
+
+
+def _cycle_pairs(*vs):
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+def _random_degree_two_split(rng):
+    """A relabelled clique K_m, m <= 10, plus up to 14 - m independent
+    vertices: half the time a cover cycle on 3..m clique vertices, then
+    vertices of degree 0, 1 or 2, about one in five a twin of an
+    earlier one."""
+    m = rng.randint(3, 10)
+    k = rng.randint(0, 14 - m)
+    nbhds = []
+    if k >= 3 and rng.random() < 0.5:
+        cyc = rng.sample(range(m), rng.randint(3, min(m, k)))
+        nbhds = [(cyc[i - 1], c) for i, c in enumerate(cyc)]
+    while len(nbhds) < k:
+        if nbhds and rng.random() < 0.2:
+            nbhds.append(rng.choice(nbhds))
+        else:
+            nbhds.append(rng.sample(range(m), rng.choice((0, 1, 2, 2))))
+    g = _clique_with(m, nbhds)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def test_find_a_ell_routes_agree(rng):
-    # the structural route (with its one embedding search) against the
-    # generic per-l scan, witnesses included
+    # the cover-graph reading of classify_degree_two against the generic
+    # scans, verdicts and witnesses included
+    def agree(g):
+        sp = split_partition(g)
+        if sp is None or any(g.degree(v) > 2 for v in sp.independent):
+            return False
+        verdict = classify_degree_two(sp)
+        assert (verdict.representable, verdict.witness_pattern) == _degree_two_generic(g)
+        return True
+
     for _ in range(150):
-        g = random_split_graph(rng, rng.randint(4, 9))
-        assert _a_ell(g) == _find_a_ell_generic(g)
+        agree(random_split_graph(rng, rng.randint(4, 9)))
     for n in range(8):
         for g in enumerate_graphs(n):
-            if split_partition(g) is not None:
-                assert _a_ell(g) == _find_a_ell_generic(g)
+            agree(g)
+    local = random.Random(8)
+    assert sum(agree(_random_degree_two_split(local)) for _ in range(500)) == 500
+
+
+def test_classify_degree_two_reads_the_cover_graph():
+    def witness(g):
+        verdict = classify_degree_two(split_partition(g))
+        if verdict.representable:
+            return None
+        name, emb = verdict.witness_pattern
+        pattern = families.named("T2") if name == "T2" else families.a_graph(int(name[2:]))
+        assert is_isomorphic(induced_subgraph(g, emb.image()), pattern)
+        return name
+
+    for m in range(3, 8):
+        # a Hamiltonian cover cycle leaves no apex
+        assert witness(families.k_triangle(m)) is None
+        if m >= 4:
+            # a cover cycle of length m-1, with a twin cover, a pendant on
+            # the apex and an isolated vertex
+            pairs = _cycle_pairs(*range(m - 1))
+            assert witness(_clique_with(m, pairs + [pairs[0], (m - 1,), ()])) == f"A_{m}"
+    # of two cover cycles, the shorter one is reported
+    assert witness(_clique_with(8, _cycle_pairs(0, 1, 2, 3) + _cycle_pairs(4, 5, 6))) == "A_4"
+    assert witness(_clique_with(8, _cycle_pairs(0, 1, 2) + _cycle_pairs(3, 4, 5, 6))) == "A_4"
+    # a clique vertex on three cover edges is a T2, even next to a cycle
+    star = [(3, 4), (3, 5), (3, 6)]
+    assert witness(_clique_with(7, _cycle_pairs(0, 1, 2) + star)) == "T2"
 
 
 def test_classify_degree_two_examples():
@@ -186,6 +260,39 @@ def test_classify_split_witness_maps_to_input_labels():
         families.a_graph(int(name[2:])) if name.startswith("A_") else families.named(name)
     )
     assert is_isomorphic(induced_subgraph(padded, emb.image()), pattern)
+
+
+def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
+    import wordrep.classify as classify_mod
+    import wordrep.orient as orient_mod
+
+    real = orient_mod.find_semi_transitive_orientation
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", counting)
+    monkeypatch.setattr(orient_mod, "find_semi_transitive_orientation", counting)
+    # the oracle branch with nothing reduced, a fast path, a pattern witness
+    for g, reason in (
+        (families.k_ell_k(7, 3), REASON_ORACLE),
+        (families.k_triangle(5), REASON_MAIN1),
+        (families.named("T1"), REASON_MAIN1),
+    ):
+        calls.clear()
+        v = classify_split(g, verify=True, want_orientation=True)
+        assert v.reason == reason and calls == [g]
+        assert (v.witness_orientation is not None) == v.representable
+    # a disagreement still raises, and the CLI still exits 3 on it
+    monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", lambda g: None)
+    with pytest.raises(OracleDisagreement):
+        classify_split(families.k_triangle(5), verify=True)
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(families.k_triangle(5)) + "\n")
+    assert main(["classify", "--verify", str(path)]) == 3
+    assert "invariant violation" in capsys.readouterr().err
 
 
 def test_classify_split_agrees_with_oracle():

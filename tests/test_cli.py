@@ -204,6 +204,16 @@ def test_orient_fix_rejects_an_edge_named_twice(tmp_path, capsys):
             assert len(err.splitlines()) == 1 and "more than once" in err
 
 
+def test_orient_fix_rejects_a_malformed_arc(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(families.complete(3)) + "\n")
+    for fix in ("a>b", "0>"):
+        for mode in ([], ["--count"], ["--all"]):
+            code, out, err = run(capsys, "orient", str(path), *mode, "--fix", fix)
+            assert code == 1 and out == ""
+            assert err == f"bad arc {fix!r}; use tail>head\n"
+
+
 def test_orient_fix_rejects_a_non_edge(tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text(write_graph6(Graph(3, [(0, 1), (1, 2)])) + "\n")

@@ -34,6 +34,17 @@ def test_k_triangle_canonical_orientation_is_semi_transitive():
         assert is_semi_transitive(og)
 
 
+def test_k_triangle_is_k_ell_k_with_windows_of_two():
+    for l in range(3, 11):
+        assert families.k_triangle(l) == families.k_ell_k(l, 2)
+        assert families.k_triangle_canonical_orientation(l) == (
+            families.k_ell_k_canonical_orientation(l, 2)
+        )
+    for build in (families.k_triangle, families.k_triangle_canonical_orientation):
+        with pytest.raises(ValueError, match="k_triangle needs l >= 3"):
+            build(2)
+
+
 def test_k_triangle_odd_word():
     w3 = families.k_triangle_odd_word(3)
     # transcription of the two-line displayed word for l=3, shifted 0-based

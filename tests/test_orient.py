@@ -90,6 +90,27 @@ def test_find_shortcut_none_on_transitive():
     assert find_shortcut(og) is None
 
 
+def test_find_shortcut_walks_a_1100_vertex_path():
+    # one path vertex per walk step: deeper than Python's recursion limit
+    n = 1100
+    og = OrientedGraph(families.cycle(n), [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    assert not is_semi_transitive(og)
+    wit = find_shortcut(og)
+    assert wit.path == tuple(range(n)) and wit.shortcutting_edge == (0, n - 1)
+    assert wit.missing_pair == (0, 2)
+
+
+def test_find_shortcut_takes_the_smallest_next_vertex_first():
+    # two shortcut paths below 0->4, branching at 0; then two below
+    # 0->5, branching at 1
+    for arcs, path, missing in (
+        ([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, 4)], (0, 1, 3, 4), (0, 3)),
+        ([(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (0, 5)], (0, 1, 2, 4, 5), (0, 2)),
+    ):
+        wit = find_shortcut(OrientedGraph(Graph(6, arcs), arcs))
+        assert (wit.path, wit.missing_pair) == (path, missing)
+
+
 def test_find_shortcut_rejects_cyclic():
     og = OrientedGraph(families.complete(3), [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
