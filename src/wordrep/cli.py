@@ -4,7 +4,8 @@ orientation search and bounded word search.
 Graphs travel as graph6 text, one per line, on files or stdin.
 Machine-readable output is line-oriented JSON behind --json.  Exit
 codes: 0 success, 1 usage or parse errors, 2 census expectation
-mismatch, 3 internal invariant violation (two routes that must agree
+mismatch or a `represent --check` word that does not represent its
+graph, 3 internal invariant violation (two routes that must agree
 disagreed - worth reporting, not suppressing).
 """
 

@@ -1,6 +1,6 @@
 """Small simple graphs: bitmask adjacency, graph6 text I/O, induced
-subgraphs, isomorphism testing, and exhaustive enumeration of
-isomorphism classes.
+subgraphs, isomorphism testing, canonical forms, and exhaustive
+enumeration of isomorphism classes.
 
 Vertices are always the integers 0..n-1.  A graph stores one adjacency
 bitmask per vertex, which keeps the search loops elsewhere in this
@@ -9,7 +9,8 @@ order) fast enough in pure Python.  Graphs are immutable value objects
 and every function returns fresh values.  Two caches keep state: a
 Graph stores its colour refinement in ``_wl`` on first use, and
 ``_catalog`` keeps each order's isomorphism classes for the life of the
-process.  Both hold values that depend on their input alone, so a
+process; the canonical forms that pick them are dropped once an order
+is built.  Both hold values that depend on their input alone, so a
 cache hit returns what a recomputation would, and two threads racing
 to fill one store equal values; concurrent use is safe.
 """
@@ -298,53 +299,54 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism.  Colour refinement narrows the candidate maps, then the
-# shared matcher settles the question; adequate for the small
-# graphs this package deals in (no attempt at nauty-grade performance).
+# Isomorphism.  Colour refinement narrows the candidate maps and the
+# shared matcher settles the question; with individualisation it also
+# gives canonical forms (adequate for small graphs, not nauty-grade).
 
 
-def _refine_colors(g: Graph) -> tuple[int, ...]:
-    """Stable vertex colouring by iterated neighbourhood refinement,
-    cached on the graph.
-
-    Colour names are derived from sorted signatures each round, so equal
-    colour multisets on two graphs mean the refinement cannot tell them
-    apart (the converse, of course, does not hold).
-    """
-    if g._wl is not None:
-        return g._wl
-    n = g.n
-    nbrs = [_bits(g.adj[v]) for v in range(n)]
-    colors = [len(nbrs[v]) for v in range(n)]
+def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
+    """Coarsest stable refinement of ``colors``, one per vertex v with
+    neighbours ``nbrs[v]``.  Colours are renamed from sorted signatures
+    each round, so the result keeps the input colours' order and depends
+    on the colour structure alone, not on vertex labels: equal colour
+    multisets on two graphs mean refinement cannot tell them apart."""
     ncolors = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            sigs.append((colors[v], tuple(sorted(colors[w] for w in nbrs[v]))))
+        sigs = [(c, tuple(sorted([colors[w] for w in nb]))) for c, nb in zip(colors, nbrs)]
         names = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [names[s] for s in sigs]
         if len(names) == ncolors:
-            g._wl = tuple(colors)
-            return g._wl
+            return colors
         ncolors = len(names)
 
 
+def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
+    """u and v have equal neighbourhoods apart from each other."""
+    return (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0
+
+
+def _refine_colors(g: Graph) -> tuple[int, ...]:
+    """Stable colouring of g refined from its degrees, cached on the graph."""
+    if g._wl is None:
+        nbrs = [_bits(m) for m in g.adj]
+        g._wl = tuple(_refine(nbrs, [len(nb) for nb in nbrs]))
+    return g._wl
+
+
 def iso_invariant(g: Graph) -> tuple:
-    """Cheap isomorphism-invariant key used to bucket graphs."""
+    """Cheap isomorphism invariant: ``is_isomorphic``'s early reject."""
     return (g.n, g.edge_count, tuple(sorted(_refine_colors(g))))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff some bijection of vertex sets preserves adjacency both ways."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
     if g.adj == h.adj:
         return True
+    if iso_invariant(g) != iso_invariant(h):
+        return False
     n = g.n
     gc = _refine_colors(g)
     hc = _refine_colors(h)
-    if sorted(gc) != sorted(hc):
-        return False
     by_color: dict[int, list[int]] = {}
     for w in range(n):
         by_color.setdefault(hc[w], []).append(w)
@@ -353,10 +355,42 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return _match(h, g, order, [by_color[gc[v]] for v in order]) is not None
 
 
+def _canonical_form(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """A complete invariant: equal forms iff isomorphic graphs.
+
+    Individualisation-refinement (McKay-Piperno, *Practical graph
+    isomorphism II*, 2014): refine from degrees; while a colour holds
+    several vertices, branch on each vertex of the first such colour,
+    giving it a colour just above its old one, and refine again.  The
+    form is the largest adjacency read under a leaf's colours 0..n-1.
+    Every step sees the colours alone, so relabelling the graph permutes
+    the leaves.  Of twins only the first is branched on: swapping two
+    twins is an automorphism, so their branches hold the same leaves."""
+    nbrs = [_bits(m) for m in adj]
+    best: tuple[int, ...] = ()
+    stack = [_refine(nbrs, [len(nb) for nb in nbrs])]
+    while stack:
+        colors = stack.pop()
+        if len(set(colors)) == n:
+            rows = [0] * n
+            for v, nb in enumerate(nbrs):
+                rows[colors[v]] = sum(1 << colors[w] for w in nb)
+            best = max(best, tuple(rows))
+            continue
+        target = min(c for c in colors if colors.count(c) > 1)
+        kept: list[int] = []
+        for v, c in enumerate(colors):
+            if c == target and not any(_twins(adj, u, v) for u in kept):
+                kept.append(v)
+                stack.append(_refine(nbrs, [2 * d + (w == v) for w, d in enumerate(colors)]))
+    return best
+
+
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration of isomorphism classes, one representative per
-# class, by vertex augmentation.  Known class counts for n = 0..7:
-# 1, 1, 2, 4, 11, 34, 156, 1044.
+# Exhaustive enumeration of isomorphism classes: each class of order n-1,
+# in catalogue order, gains vertex n-1 by every neighbourhood mask in
+# increasing order, and the first child with a new canonical form is
+# kept.  Class counts for n = 0..8: 1, 1, 2, 4, 11, 34, 156, 1044, 12346.
 
 
 def enumerate_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
@@ -380,18 +414,18 @@ def enumerate_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
 def _catalog(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph(0),)
-    out: list[Graph] = []
-    buckets: dict[tuple, list[Graph]] = {}
+    seen: dict[tuple[int, ...], Graph] = {}
     newbit = 1 << (n - 1)
     for parent in _catalog(n - 1):
+        padj = parent.adj
+        # twins u < v of the parent: a mask holding v but not u gives a
+        # child isomorphic to the smaller mask with the two swapped
+        twins = [(1 << u, 1 << v) for v in range(n - 1) for u in range(v) if _twins(padj, u, v)]
         for mask in range(newbit):
-            rows = list(parent.adj)
-            for u in _bits(mask):
-                rows[u] |= newbit
-            rows.append(mask)
-            g = Graph._from_adj(n, tuple(rows))
-            bucket = buckets.setdefault(iso_invariant(g), [])
-            if not any(is_isomorphic(g, rep) for rep in bucket):
-                bucket.append(g)
-                out.append(g)
-    return tuple(out)
+            if any(mask & bv and not mask & bu for bu, bv in twins):
+                continue
+            adj = tuple(r | newbit if mask >> u & 1 else r for u, r in enumerate(padj)) + (mask,)
+            form = _canonical_form(n, adj)
+            if form not in seen:
+                seen[form] = Graph._from_adj(n, adj)
+    return tuple(seen.values())

@@ -1,7 +1,9 @@
 """Graph substrate tests: graph6 codec (against an independently written
 reference codec and networkx), induced subgraphs, isomorphism, induced
-containment, and the isomorphism-class census."""
+containment, canonical forms, and the isomorphism-class census (against
+the bucketed isomorphism-test enumeration it replaced)."""
 
+import functools
 import itertools
 import random
 
@@ -13,13 +15,17 @@ from wordrep.graphs import (
     Embedding,
     Graph,
     Graph6Error,
+    _canonical_form,
+    _catalog,
     contains_induced,
     enumerate_graphs,
     induced_subgraph,
+    iso_invariant,
     is_isomorphic,
     parse_graph6,
     write_graph6,
 )
+from conftest import EXHAUSTIVE, random_graph
 
 # --------------------------------------------------------------------------
 # Reference graph6 codec, written straight off the published format
@@ -263,7 +269,7 @@ def test_contains_induced_embedding_induces_pattern():
 
 
 def test_enumerate_counts():
-    expected = [1, 1, 2, 4, 11, 34, 156, 1044]
+    expected = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
     for n, want in enumerate(expected):
         assert sum(1 for _ in enumerate_graphs(n)) == want
 
@@ -294,3 +300,122 @@ def test_enumerate_matches_brute_force_buckets():
             if not any(nx.is_isomorphic(h, r) for r in reps):
                 reps.append(h)
         assert len(reps) == sum(1 for _ in enumerate_graphs(n))
+
+
+# --------------------------------------------------------------------------
+# Canonical forms and the enumeration built on them.
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_by_buckets(n: int) -> tuple[Graph, ...]:
+    """Oracle enumeration: augment every parent by every mask, in the
+    production order, and keep a candidate unless the matcher finds it
+    isomorphic to a kept graph with the same ``iso_invariant``."""
+    if n == 0:
+        return (Graph(0),)
+    out: list[Graph] = []
+    buckets: dict[tuple, list[Graph]] = {}
+    newbit = 1 << (n - 1)
+    for parent in _catalog_by_buckets(n - 1):
+        for mask in range(newbit):
+            rows = [row | newbit if mask >> u & 1 else row for u, row in enumerate(parent.adj)]
+            g = Graph._from_adj(n, tuple(rows) + (mask,))
+            bucket = buckets.setdefault(iso_invariant(g), [])
+            if not any(is_isomorphic(g, rep) for rep in bucket):
+                bucket.append(g)
+                out.append(g)
+    return tuple(out)
+
+
+def test_catalog_matches_bucket_oracle():
+    # same graphs in the same order; n = 8 takes the oracle minutes
+    for n in range(9 if EXHAUSTIVE else 8):
+        assert _catalog(n) == _catalog_by_buckets(n)
+
+
+def form(g: Graph) -> tuple[int, ...]:
+    return _canonical_form(g.n, g.adj)
+
+
+def relabel(g: Graph, perm: list[int]) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if not g.adjacent(u, v)])
+
+
+def threshold(bits: str) -> Graph:
+    """Add vertices one by one: '1' joins the new vertex to all earlier
+    ones, '0' leaves it isolated."""
+    return Graph(len(bits), [(u, v) for v, b in enumerate(bits) if b == "1" for u in range(v)])
+
+
+def hard_graphs() -> list[Graph]:
+    """Graphs that degree refinement leaves in few colours, so the form
+    needs individualisation, with their complements."""
+    cube = Graph(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3) if u < u ^ 1 << i])
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)])
+    cocktail = [Graph(2 * k, [(u, v) for u in range(2 * k) for v in range(u + 1, 2 * k)
+                              if v != u + 1 or u % 2]) for k in range(2, 6)]
+    base = [families.cycle(m) for m in range(5, 10)] + cocktail + [cube, petersen]
+    base += [Graph(n) for n in range(11)]
+    base += [threshold(b) for b in ("0000111", "0101010", "0011001100", "0110100111")]
+    return base + [complement(g) for g in base]
+
+
+def test_canonical_form_is_invariant_under_relabelling():
+    rng = random.Random(41)
+    graphs = [random_graph(rng, rng.randint(0, 10), rng.random()) for _ in range(300)]
+    for g in graphs + hard_graphs():
+        f = form(g)
+        assert is_isomorphic(Graph._from_adj(g.n, f), g)  # the form is a copy of g
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert form(relabel(g, perm)) == f
+
+
+def test_canonical_form_separates_hard_graphs():
+    hard = hard_graphs()
+    for g, h in itertools.combinations(hard, 2):
+        if g.n == h.n:
+            assert (form(g) == form(h)) == nx.is_isomorphic(to_nx(g), to_nx(h))
+    # C_8 and two disjoint 4-cycles: both 2-regular, so only the branching tells them apart
+    two_c4 = Graph(8, [(i, (i + 1) % 4) for i in range(4)] + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+    assert form(families.cycle(8)) != form(two_c4)
+
+
+def degree_preserving_swap(rng: random.Random, g: Graph) -> Graph:
+    """g after random double-edge swaps: same degree sequence, often
+    another isomorphism class."""
+    edges = {tuple(e) for e in g.edges()}
+    for _ in range(2 * len(edges)):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = (min(a, d), max(a, d)), (min(c, b), max(c, b))
+        if len({a, b, c, d}) == 4 and not any(e in edges for e in new):
+            edges -= {(a, b), tuple(sorted((c, d)))}
+            edges |= set(new)
+    return Graph(g.n, sorted(edges))
+
+
+def test_equal_forms_exactly_when_isomorphic():
+    rng = random.Random(43)
+    agree = {True: 0, False: 0}
+    for i in range(600):
+        g = random_graph(rng, rng.randint(4, 9), rng.uniform(0.2, 0.8))
+        h = degree_preserving_swap(rng, g)
+        assert g.degree_sequence() == h.degree_sequence()
+        same = is_isomorphic(g, h)
+        assert (form(g) == form(h)) == same
+        if i % 4 == 0:
+            assert same == nx.is_isomorphic(to_nx(g), to_nx(h))
+        agree[same] += 1
+    assert min(agree.values()) > 50  # both outcomes well represented
