@@ -1,0 +1,102 @@
+"""Time what every CLI call pays before its search: interpreter start-up
+plus loading ``wordrep``.
+
+Three calls, each run 21 times in a fresh ``python3 -S`` process, timed
+from spawn to exit:
+
+- ``import``: ``import wordrep.cli`` and nothing else;
+- ``orient_count_w5``: ``orient --count`` on W5 (graph6 ``Ehfw``);
+- ``represent_c5``: ``represent`` on C5 (graph6 ``Dhc``).
+
+Each call runs in two bytecode-cache states.  ``cold`` runs with ``-B``
+and an empty temporary ``PYTHONPYCACHEPREFIX``, so every module the call
+imports that is not frozen into the interpreter, the standard library's
+as well as ``wordrep``'s, is compiled from source.  ``warm`` runs with a
+temporary prefix that one untimed run of the call fills first, so every
+module is read from bytecode.  Neither state writes under ``src/``.
+Rows are ``<call>_<state>_min_ms`` and ``<call>_<state>_median_ms``.
+
+Run it once per source tree under its own label.  It writes
+``BENCH_startup.json`` at the root of the repository and keeps the rows
+of other labels already there:
+
+    python3 bench/startup.py --label change
+    python3 bench/startup.py --label parent --src ../parent/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_startup.json"
+RUNS = 21
+CLI = "from wordrep.cli import console_main; console_main()"
+CALLS = (
+    ("import", ["-c", "import wordrep.cli"], ""),
+    ("orient_count_w5", ["-c", CLI, "orient", "--count"], "Ehfw\n"),
+    ("represent_c5", ["-c", CLI, "represent"], "Dhc\n"),
+)
+
+
+def call_ms(args: list[str], stdin: str, env: dict, write_cache: bool = False) -> float:
+    """Wall milliseconds of one ``python3 -S`` process.  ``subprocess.run``
+    without a timeout waits for the child in one blocking call, so the
+    time is not rounded up to a polling step."""
+    flags = ["-S"] if write_cache else ["-S", "-B"]
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *flags, *args], input=stdin, text=True, env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+    return (time.perf_counter() - start) * 1000
+
+
+def measure(src: Path) -> dict[str, float]:
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    base["PYTHONPATH"] = str(src)
+    samples: dict[str, list[float]] = {}
+    with tempfile.TemporaryDirectory() as cold, tempfile.TemporaryDirectory() as warm:
+        envs = {"cold": dict(base, PYTHONPYCACHEPREFIX=cold),
+                "warm": dict(base, PYTHONPYCACHEPREFIX=warm)}
+        for _, args, stdin in CALLS:
+            call_ms(args, stdin, envs["warm"], write_cache=True)
+        # round robin, so that a slow spell of the machine hits every row
+        for _ in range(RUNS):
+            for name, args, stdin in CALLS:
+                for state, env in envs.items():
+                    samples.setdefault(f"{name}_{state}", []).append(call_ms(args, stdin, env))
+    rows = {}
+    for key, values in samples.items():
+        rows[f"{key}_min_ms"] = round(min(values), 1)
+        rows[f"{key}_median_ms"] = round(statistics.median(values), 1)
+    return rows
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this tree's rows, e.g. parent or change")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tree's src/ directory")
+    args = ap.parse_args()
+    report = json.loads(OUT.read_text()) if OUT.exists() else {}
+    report["method"] = (f"minimum and median of {RUNS} fresh python3 -S processes per row, "
+                        "wall-clock ms from spawn to exit; cold: -B with an empty "
+                        "PYTHONPYCACHEPREFIX (every non-frozen module compiled); warm: -B with "
+                        "a prefix one untimed run filled")
+    report["machine"] = {"python": platform.python_version(), "cores": os.cpu_count(),
+                         "arch": platform.machine()}
+    report[args.label] = measure(args.src.resolve())
+    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(report[args.label], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,13 +21,12 @@ the encoded theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import families
 from .graphs import Embedding, Graph, _bits, contains_induced
 from .orient import (
     OracleDisagreement,
-    OrientedGraph,
     find_semi_transitive_orientation,
     has_transitive_orientation,
     orientation_bits,
@@ -41,8 +40,11 @@ REASON_MAIN2 = "THEOREM_MAIN2"
 REASON_ORACLE = "ORACLE_SEARCH"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple(
+    "Verdict",
+    "representable reason witness_pattern witness_orientation",
+    defaults=(None, None),
+)):
     """Outcome of classifying one graph.
 
     ``witness_pattern`` names a forbidden induced subgraph and its
@@ -51,10 +53,7 @@ class Verdict:
     orientation when representable and one was requested.
     """
 
-    representable: bool
-    reason: str
-    witness_pattern: tuple[str, Embedding] | None = None
-    witness_orientation: OrientedGraph | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         witness = None

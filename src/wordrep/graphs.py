@@ -17,9 +17,9 @@ to fill one store equal values; concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 GRAPH6_MAX_N = 62     # short-form graph6 only
 ENUMERATION_GUARD = 8  # enumerate_graphs refuses larger n unless overridden
@@ -220,14 +220,13 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph._from_adj(k, tuple(adj))
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(namedtuple("Embedding", "mapping")):
     """Injective map pattern-vertex -> host-vertex realising an induced copy.
 
     ``mapping[i]`` is the host vertex that pattern vertex i lands on.
     """
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(self.mapping))

@@ -29,8 +29,8 @@ over implication classes that never backtracks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .graphs import Graph, _bits
 
@@ -256,8 +256,7 @@ def is_semi_transitive(og: OrientedGraph) -> bool:
 # Witness-producing shortcut search.
 
 
-@dataclass(frozen=True)
-class ShortcutWitness:
+class ShortcutWitness(namedtuple("ShortcutWitness", "path shortcutting_edge missing_pair")):
     """A directed path plus the shortcutting edge and one missing pair.
 
     ``path`` runs v_0 -> ... -> v_k with k >= 3 along directed edges,
@@ -266,9 +265,7 @@ class ShortcutWitness:
     subgraph induced by the path vertices is not transitive.
     """
 
-    path: tuple[int, ...]
-    shortcutting_edge: tuple[int, int]
-    missing_pair: tuple[int, int]
+    __slots__ = ()
 
     def is_valid(self, og: OrientedGraph) -> bool:
         p = self.path

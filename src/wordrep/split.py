@@ -30,8 +30,8 @@ views against the direct shortcut search on every orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .graphs import Graph, _bits
 from .orient import (
@@ -42,17 +42,14 @@ from .orient import (
 )
 
 
-@dataclass(frozen=True)
-class SplitPartition:
+class SplitPartition(namedtuple("SplitPartition", "graph clique independent")):
     """A split graph with its vertex partition.
 
     ``clique`` induces a complete subgraph and is maximal (no outside
     vertex sees all of it); ``independent`` induces no edges.
     """
 
-    graph: Graph
-    clique: tuple[int, ...]
-    independent: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -154,8 +151,11 @@ KIND_C = "C"
 KIND_INVALID = "INVALID"
 
 
-@dataclass(frozen=True)
-class VertexTypeReport:
+class VertexTypeReport(namedtuple(
+    "VertexTypeReport",
+    "vertex kind neighbors_on_path source_group sink_group boundary",
+    defaults=((), (), None),
+)):
     """Classification of one independent vertex under an orientation.
 
     Positions index the clique's Hamiltonian directed path from the
@@ -163,12 +163,7 @@ class VertexTypeReport:
     the last source-group member and the first sink-group member.
     """
 
-    vertex: int
-    kind: str
-    neighbors_on_path: tuple[int, ...]
-    source_group: tuple[int, ...] = ()
-    sink_group: tuple[int, ...] = ()
-    boundary: tuple[int, int] | None = None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -180,14 +175,11 @@ class VertexTypeReport:
         }
 
 
-@dataclass(frozen=True)
-class OrderViolation:
-    """A relative-order conflict pivoting on a type-C boundary pair."""
+class OrderViolation(namedtuple("OrderViolation", "y x boundary kind")):
+    """A relative-order conflict pivoting on a type-C boundary pair.
+    ``kind`` is "AB", "C_SOURCE_GROUP" or "C_SINK_GROUP"."""
 
-    y: int
-    x: int
-    boundary: tuple[int, int]
-    kind: str  # "AB", "C_SOURCE_GROUP" or "C_SINK_GROUP"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -20,7 +20,7 @@ module.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .graphs import Graph, _bits
 

@@ -3,6 +3,8 @@ functions looked up by name; each of those names must still exist."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "wrbench" / "spans.py"
@@ -28,3 +30,21 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"wordrep.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_cli_import_path():
+    """``import wordrep.cli`` stays off the costly stdlib modules, and
+    still loads every traced module: ``Tracer.install`` imports
+    ``wordrep.cli`` and then reads each target's module from
+    ``sys.modules``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import wordrep.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], check=True, capture_output=True, text=True
+    )
+    loaded = set(out.stdout.split())
+    assert {"dataclasses", "typing", "inspect"} & loaded == set()
+    assert {f"wordrep.{module}" for module, _ in _targets()} <= loaded

@@ -14,12 +14,14 @@ from wordrep.classify import (
     REASON_MAIN1,
     REASON_MAIN2,
     REASON_ORACLE,
+    Verdict,
     classify_clique_four,
     classify_degree_two,
     classify_split,
     find_a_ell,
 )
 from wordrep.graphs import (
+    Embedding,
     Graph,
     contains_induced,
     enumerate_graphs,
@@ -28,7 +30,12 @@ from wordrep.graphs import (
     write_graph6,
 )
 from wordrep.cli import main
-from wordrep.orient import OracleDisagreement, is_semi_transitive
+from wordrep.orient import (
+    OracleDisagreement,
+    OrientedGraph,
+    is_semi_transitive,
+    orientation_bits,
+)
 from wordrep.split import split_partition
 from conftest import EXHAUSTIVE, random_split_graph
 
@@ -246,6 +253,29 @@ def test_classify_split_witness_orientation():
     payload = v.to_json()
     assert set(payload) == {"representable", "reason", "witness"}
     assert "orientation" in payload["witness"]
+
+
+def test_verdict_record():
+    v = Verdict(representable=True, reason=REASON_COMPARABILITY)
+    assert (v.witness_pattern, v.witness_orientation) == (None, None)
+    assert v == Verdict(True, REASON_COMPARABILITY, None, None)
+    assert hash(v) == hash(Verdict(True, REASON_COMPARABILITY))
+    assert repr(v) == (
+        "Verdict(representable=True, reason='COMPARABILITY', "
+        "witness_pattern=None, witness_orientation=None)"
+    )
+    with pytest.raises(AttributeError):
+        v.representable = False
+    assert v.to_json() == {"representable": True, "reason": "COMPARABILITY", "witness": None}
+    no = Verdict(False, REASON_MAIN1, witness_pattern=("T1", Embedding((3, 0, 1))))
+    assert no.to_json() == {
+        "representable": False,
+        "reason": "THEOREM_MAIN1",
+        "witness": {"pattern": "T1", "vertices": [3, 0, 1]},
+    }
+    og = OrientedGraph(Graph(3, [(0, 1), (1, 2)]), [(0, 1), (2, 1)])
+    yes = Verdict(True, REASON_ORACLE, witness_orientation=og)
+    assert yes.to_json()["witness"] == {"orientation": orientation_bits(og)}
 
 
 def test_classify_split_witness_maps_to_input_labels():

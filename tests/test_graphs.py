@@ -225,6 +225,21 @@ def test_contains_induced_examples():
     assert contains_induced(w5, Graph(0)) == Embedding(())
 
 
+def test_embedding_record():
+    emb = Embedding(mapping=(1, 0, 2))
+    assert emb == Embedding((1, 0, 2)) and hash(emb) == hash(Embedding((1, 0, 2)))
+    assert emb != Embedding((0, 1, 2))
+    assert repr(emb) == "Embedding(mapping=(1, 0, 2))"
+    with pytest.raises(AttributeError):
+        emb.mapping = (0, 1, 2)
+    assert emb.image() == (0, 1, 2)
+    host = Graph(3, [(0, 1), (1, 2)])  # the path 0-1-2
+    star = Graph(3, [(0, 1), (0, 2)])  # centre 0
+    assert emb.is_valid(host, star)
+    for bad in ((0, 1, 2), (1, 0), (1, 1, 2), (1, 0, 3)):
+        assert not Embedding(bad).is_valid(host, star)
+
+
 def test_contains_induced_returns_the_least_embedding():
     rng = random.Random(29)
     for _ in range(100):

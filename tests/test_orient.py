@@ -8,6 +8,7 @@ from wordrep import families
 from wordrep.graphs import Graph, enumerate_graphs
 from wordrep.orient import (
     OrientedGraph,
+    ShortcutWitness,
     _add_arc,
     _has_shortcut,
     all_orientations,
@@ -80,6 +81,22 @@ def test_find_shortcut_minimal_example():
     assert wit.shortcutting_edge == (0, 3)
     assert wit.missing_pair in ((0, 2), (1, 3))
     assert not is_semi_transitive(og)
+
+
+def test_shortcut_witness_record():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    og = OrientedGraph(g, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    wit = ShortcutWitness(path=(0, 1, 2, 3), shortcutting_edge=(0, 3), missing_pair=(0, 2))
+    assert wit.is_valid(og)
+    assert wit == ShortcutWitness((0, 1, 2, 3), (0, 3), (0, 2))
+    assert hash(wit) == hash(ShortcutWitness((0, 1, 2, 3), (0, 3), (0, 2)))
+    assert repr(wit) == (
+        "ShortcutWitness(path=(0, 1, 2, 3), shortcutting_edge=(0, 3), missing_pair=(0, 2))"
+    )
+    with pytest.raises(AttributeError):
+        wit.path = (0, 3)
+    assert not ShortcutWitness((0, 1, 2, 3), (0, 3), (1, 2)).is_valid(og)  # an arc
+    assert not ShortcutWitness((0, 1, 2, 3), (0, 2), (0, 2)).is_valid(og)
 
 
 def test_find_shortcut_none_on_transitive():

@@ -22,6 +22,8 @@ from wordrep.split import (
     KIND_B,
     KIND_C,
     KIND_INVALID,
+    SplitPartition,
+    VertexTypeReport,
     check_main_orientation,
     check_relative_order,
     classify_all,
@@ -272,6 +274,39 @@ def test_classify_vertex_canonical_k_triangle():
     assert set(rep.to_json()) == {"vertex", "kind", "source_group", "sink_group", "boundary"}
 
 
+def test_split_partition_record():
+    g = Graph(5, [(0, 1), (0, 3), (1, 3), (3, 4), (2, 3)])
+    sp = split_partition(g)
+    assert sp == SplitPartition(graph=g, clique=(0, 1, 3), independent=(2, 4))
+    assert hash(sp) == hash(SplitPartition(g, (0, 1, 3), (2, 4)))
+    assert sp != SplitPartition(g, (1, 3), (0, 2, 4))
+    assert repr(sp) == f"SplitPartition(graph={g!r}, clique=(0, 1, 3), independent=(2, 4))"
+    with pytest.raises(AttributeError):
+        sp.clique = (3,)
+    assert sp.m == 3
+    assert sp.clique_mask() == 0b1011
+
+
+def test_vertex_type_report_record():
+    rep = VertexTypeReport(vertex=4, kind=KIND_A, neighbors_on_path=(0, 1))
+    assert (rep.source_group, rep.sink_group, rep.boundary) == ((), (), None)
+    assert rep == VertexTypeReport(4, KIND_A, (0, 1), (), (), None)
+    assert hash(rep) == hash(VertexTypeReport(4, KIND_A, (0, 1)))
+    assert repr(rep) == (
+        "VertexTypeReport(vertex=4, kind='A', neighbors_on_path=(0, 1), "
+        "source_group=(), sink_group=(), boundary=None)"
+    )
+    with pytest.raises(AttributeError):
+        rep.kind = KIND_B
+    assert rep.to_json() == {
+        "vertex": 4, "kind": "A", "source_group": [], "sink_group": [], "boundary": None,
+    }
+    c = VertexTypeReport(5, KIND_C, (0, 2, 3), source_group=(0,), sink_group=(2, 3), boundary=(0, 2))
+    assert c.to_json() == {
+        "vertex": 5, "kind": "C", "source_group": [0], "sink_group": [2, 3], "boundary": [0, 2],
+    }
+
+
 def test_classify_vertex_invalid_and_errors():
     # degree-2 vertex over non-consecutive positions, both edges outgoing
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 2), (0, 4)])
@@ -341,6 +376,11 @@ def test_check_relative_order_examples():
 
     v = OrderViolation(1, 2, (0, 3), "AB")
     assert v.to_json() == {"y": 1, "x": 2, "boundary": [0, 3], "kind": "AB"}
+    assert v == OrderViolation(y=1, x=2, boundary=(0, 3), kind="AB")
+    assert hash(v) == hash(OrderViolation(1, 2, (0, 3), "AB"))
+    assert repr(v) == "OrderViolation(y=1, x=2, boundary=(0, 3), kind='AB')"
+    with pytest.raises(AttributeError):
+        v.kind = "C_SINK_GROUP"
 
 
 def test_check_main_orientation_examples():
