@@ -1,0 +1,174 @@
+"""Time classification by deciding route over three graph corpora.
+
+Workloads:
+
+- ``oracle_mixed_<seed>`` (seeds 1 and 7919): the benchmark's mixed
+  corpus (``wrbench/corpus.py``), 210 graphs, classified with
+  ``--witness``;
+- ``split_oracle``: split graphs that no split theorem decides, so the
+  classifier's last branch takes them.  Each is a clique K_m (m = 5, 6)
+  plus k = m or 2m independent vertices, each joined to a uniformly
+  random 2..m-1 clique vertices, with shuffled labels, drawn from
+  ``random.Random(1)`` and ``random.Random(2)``; a draw is kept when its
+  reduced graph has clique size at least 5, some independent vertex of
+  degree at least 3 and no transitive orientation (24 graphs, with
+  ``--witness``);
+- ``census_8_connected``: the 11117 connected classes on 8 vertices,
+  without witnesses.
+
+Two numbers per workload, each the minimum over five runs:
+
+- ``cli_s``: wall-clock seconds of one fresh ``python3 -S`` process of
+  ``classify --json`` over the corpus (``census 8 --filter connected
+  --json`` for the census, whose enumeration is most of it);
+- ``routes``: per reason token, the verdict count and the seconds spent
+  classifying those graphs, timed graph by graph around the CLI's
+  ``_verdict_for`` in one process that has already parsed or enumerated
+  the graphs; ``classify_s`` is their sum.  The minimum is taken per
+  route.
+
+Run it once per source tree under its own label.  It writes
+``BENCH_corpus.json`` at the root of the repository and keeps the rows
+of other labels already there:
+
+    python3 bench/corpus.py --label change
+    python3 bench/corpus.py --label parent --src ../parent/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_corpus.json"
+RUNS = 5
+SEEDS = (1, 7919)
+CLI = "from wordrep.cli import console_main; console_main()"
+# Runs in the measured tree: classify each graph RUNS times through the
+# CLI's own route and print, per reason, the count and the least time.
+ROUTES = """
+import json, sys, time
+from wordrep.cli import _verdict_for
+from wordrep.graphs import enumerate_graphs, is_connected, parse_graph6
+from wordrep.split import split_partition
+runs, witness, source = int(sys.argv[1]), sys.argv[2] == "1", sys.argv[3]
+if source == "census":
+    graphs = [g for g in enumerate_graphs(8) if is_connected(g)]
+else:
+    graphs = [parse_graph6(line) for line in sys.stdin.read().split()]
+best = {}
+for _ in range(runs):
+    spent = {}
+    for g in graphs:
+        start = time.perf_counter()
+        reason = _verdict_for(g, split_partition(g), False, witness).reason
+        row = spent.setdefault(reason, [0, 0.0])
+        row[0] += 1
+        row[1] += time.perf_counter() - start
+    for reason, (count, seconds) in spent.items():
+        old = best.get(reason, (count, seconds))
+        best[reason] = (count, min(old[1], seconds))
+print(json.dumps({r: {"count": c, "seconds": round(s, 4)} for r, (c, s) in best.items()}))
+"""
+
+
+def split_oracle_corpus() -> list[str]:
+    """graph6 lines of the ``split_oracle`` workload; the filter reads the
+    split partition, reduction and G-decomposition of this tree."""
+    from wordrep.graphs import Graph, write_graph6
+    from wordrep.orient import has_transitive_orientation
+    from wordrep.split import _reduce_with_map, split_partition
+
+    lines = []
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        for m, k in ((5, 5), (5, 10), (6, 6), (6, 12)):
+            kept = 0
+            while kept < 3:
+                n = m + k
+                perm = list(range(n))
+                rng.shuffle(perm)
+                edges = [(perm[a], perm[b]) for a in range(m) for b in range(a + 1, m)]
+                for w in range(m, n):
+                    edges += [(perm[c], perm[w]) for c in rng.sample(range(m), rng.randint(2, m - 1))]
+                g = Graph(n, edges)
+                rsp, _ = _reduce_with_map(split_partition(g))
+                reduced = rsp.graph
+                if (rsp.m >= 5 and not has_transitive_orientation(reduced)
+                        and any(reduced.degree(v) > 2 for v in rsp.independent)):
+                    lines.append(write_graph6(g))
+                    kept += 1
+    return lines
+
+
+def workloads() -> dict[str, tuple[list[str] | None, bool]]:
+    """name -> (graph6 lines, or None for the census; with --witness?)"""
+    sys.path[:0] = [str(ROOT / "wrbench"), str(ROOT / "src")]
+    from corpus import graph_corpus
+
+    out = {f"oracle_mixed_{seed}": ([e.graph6 for e in graph_corpus("oracle_mixed", seed)], True)
+           for seed in SEEDS}
+    out["split_oracle"] = (split_oracle_corpus(), True)
+    out["census_8_connected"] = (None, False)
+    return out
+
+
+def cli_seconds(env: dict, lines: list[str] | None, witness: bool) -> float:
+    if lines is None:
+        argv, stdin = ["census", "8", "--filter", "connected", "--json"], ""
+    else:
+        argv, stdin = ["classify", "--json"] + ["--witness"] * witness, "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-S", "-c", CLI, *argv], input=stdin, text=True, env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
+def measure(src: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(src)
+    rows = {}
+    for name, (lines, witness) in workloads().items():
+        source = "census" if lines is None else "stdin"
+        stdin = "" if lines is None else "\n".join(lines) + "\n"
+        done = subprocess.run([sys.executable, "-S", "-c", ROUTES, str(RUNS), str(int(witness)),
+                               source], input=stdin, text=True, env=env, check=True,
+                              capture_output=True)
+        routes = json.loads(done.stdout)
+        walls = [cli_seconds(env, lines, witness) for _ in range(RUNS)]
+        rows[name] = {
+            "graphs": sum(r["count"] for r in routes.values()),
+            "cli_s": round(min(walls), 3),
+            "classify_s": round(sum(r["seconds"] for r in routes.values()), 3),
+            "routes": dict(sorted(routes.items())),
+        }
+        print(name, json.dumps(rows[name]), flush=True)
+    return rows
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this tree's rows, e.g. parent or change")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tree's src/ directory")
+    args = ap.parse_args()
+    report = json.loads(OUT.read_text()) if OUT.exists() else {}
+    report["method"] = (f"minimum of {RUNS} runs; cli_s: wall-clock seconds of one fresh "
+                        "python3 -S process over the whole corpus; routes: per reason, verdicts "
+                        "and seconds timed graph by graph in one process, minimum per route")
+    report["machine"] = {"python": platform.python_version(), "cores": os.cpu_count(),
+                         "arch": platform.machine()}
+    report[args.label] = measure(args.src.resolve())
+    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

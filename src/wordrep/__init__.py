@@ -24,14 +24,14 @@ from .words import (
 from .orient import (
     OracleDisagreement,
     OrientedGraph,
-    ShortcutWitness,
     all_orientations,
     count_semi_transitive_extensions,
     find_semi_transitive_orientation,
-    find_shortcut,
+    forcing_chain,
     find_transitive_orientation,
     has_transitive_orientation,
     is_acyclic,
+    is_forcing_chain,
     is_semi_transitive,
     is_transitive,
     is_word_representable,

@@ -1,22 +1,21 @@
-"""Forbidden-subgraph characterizations of word-representable split
-graphs and a top-level classification dispatcher.
+"""Classification of any graph, certificate first, and the
+forbidden-subgraph characterizations of word-representable split
+graphs.
 
-Two exact characterizations are implemented: for split graphs whose
-independent vertices all have degree at most two (avoid T2 and the
-A_l family), and for split graphs with clique size exactly four (avoid
-T1, T2, T3, T4).  Before them, a reduced graph with clique size at most
-three, or with a transitive orientation (found by the G-decomposition),
-is representable.  Everything else falls back to the exhaustive
-orientation search.  Each question has one production route: the
-split partition is computed once and passed down, and the degree-two
-case reads T2 and A_l off its cover graph (see
-``classify_degree_two``), so it runs one induced-subgraph search, and
-only for a pattern it knows is there.  The generic per-l A_l scan
-(``find_a_ell``) is the tests' oracle for that reading.  Under
-verify=True every fast path is cross-checked against the orientation
-oracle, which searches the input graph at most once; a disagreement
-raises rather than being papered over, because it would falsify one of
-the encoded theorems.
+``classify_graph`` is the one route every verdict takes.  Split graphs
+go to ``classify_split``: after reduction, clique size at most three or
+a transitive orientation means representable, then the degree-two
+characterization (avoid T2 and every A_l, read off the cover graph; the
+generic scan ``find_a_ell`` is the tests' oracle) or the clique-four
+one (avoid T1-T4) decides.  Any other graph is representable when it
+has a transitive orientation.  Past those, a vertex whose neighbourhood
+is not a comparability graph rules representability out
+(Halldórsson–Kitaev–Pyatkin, *Semi-transitive orientations and
+word-representable graphs*, DAM 2016), with a forcing chain as
+witness, and the exhaustive orientation search decides the rest.
+Under verify=True every verdict the search did not give is checked
+against it; a disagreement raises, because it would falsify one of the
+encoded theorems.
 """
 
 from __future__ import annotations
@@ -24,10 +23,12 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import families
-from .graphs import Embedding, Graph, _bits, contains_induced
+from .graphs import Embedding, Graph, _bits, contains_induced, induced_subgraph
 from .orient import (
     OracleDisagreement,
     find_semi_transitive_orientation,
+    find_transitive_orientation,
+    forcing_chain,
     has_transitive_orientation,
     orientation_bits,
 )
@@ -37,20 +38,23 @@ REASON_CLIQUE_LE_3 = "CLIQUE_LE_3"
 REASON_COMPARABILITY = "COMPARABILITY"
 REASON_MAIN1 = "THEOREM_MAIN1"
 REASON_MAIN2 = "THEOREM_MAIN2"
+REASON_NEIGHBOURHOOD = "NEIGHBOURHOOD"
 REASON_ORACLE = "ORACLE_SEARCH"
 
 
 class Verdict(namedtuple(
     "Verdict",
-    "representable reason witness_pattern witness_orientation",
-    defaults=(None, None),
+    "representable reason witness_pattern witness_orientation witness_chain",
+    defaults=(None, None, None),
 )):
     """Outcome of classifying one graph.
 
     ``witness_pattern`` names a forbidden induced subgraph and its
     embedding (host labels) when non-representable via a
     characterization; ``witness_orientation`` carries a semi-transitive
-    orientation when representable and one was requested.
+    orientation when representable and one was requested;
+    ``witness_chain`` is a vertex and a forcing chain in its
+    neighbourhood (host labels) when non-representable by NEIGHBOURHOOD.
     """
 
     __slots__ = ()
@@ -60,13 +64,12 @@ class Verdict(namedtuple(
         if self.witness_pattern is not None:
             name, emb = self.witness_pattern
             witness = {"pattern": name, "vertices": list(emb.mapping)}
+        elif self.witness_chain is not None:
+            v, chain = self.witness_chain
+            witness = {"vertex": v, "chain": [list(arc) for arc in chain]}
         elif self.witness_orientation is not None:
             witness = {"orientation": orientation_bits(self.witness_orientation)}
-        return {
-            "representable": self.representable,
-            "reason": self.reason,
-            "witness": witness,
-        }
+        return {"representable": self.representable, "reason": self.reason, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +170,16 @@ def classify_split(
     verify: bool = False,
     want_orientation: bool = False,
 ) -> Verdict:
-    """Classify a split graph, given as the graph or, when the caller
-    already has it, as its split partition.  Fast paths first:
-
-    after reduction, clique size <= 3 means representable (the graph is
-    3-colorable); split comparability graphs are representable; then
+    """Classify a split graph, given as the graph or as its split
+    partition.  After reduction, clique size <= 3 (the graph is
+    3-colorable) or a transitive orientation means representable; then
     the degree-two and clique-four characterizations apply; anything
-    left goes to the orientation search.
+    left goes to the neighbourhood test, then the orientation search.
 
     verify=True re-decides via the oracle and raises on mismatch;
     want_orientation=True attaches a semi-transitive orientation of the
     input graph to representable verdicts.  Both share one search of the
-    input graph, and the oracle branch's search is reused when nothing
-    was reduced.
+    input graph, reused from the oracle branch when nothing was reduced.
     """
     sp = split_partition(split) if isinstance(split, Graph) else split
     if sp is None:
@@ -198,29 +198,76 @@ def classify_split(
     elif rsp.m == 4:
         verdict = _relabel(classify_clique_four(rsp), labels)
     else:
-        og = find_semi_transitive_orientation(reduced)
-        verdict = Verdict(og is not None, REASON_ORACLE)
-        searched = reduced is g  # nothing was reduced
+        verdict = _neighbourhood_verdict(reduced)
+        if verdict is None:
+            og = find_semi_transitive_orientation(reduced)
+            verdict = Verdict(og is not None, REASON_ORACLE)
+            searched = reduced is g  # nothing was reduced
+        verdict = _relabel(verdict, labels)
 
     if verify or (want_orientation and verdict.representable):
         if not searched:
             og = find_semi_transitive_orientation(g)
-        if (og is not None) != verdict.representable:
-            raise OracleDisagreement(
-                f"classification disagrees with the orientation oracle on "
-                f"{g!r}: {verdict.reason} said {verdict.representable}"
-            )
+        _check_oracle(g, verdict, og)
         if want_orientation and og is not None:
-            verdict = Verdict(
-                verdict.representable, verdict.reason, verdict.witness_pattern, og
-            )
+            verdict = verdict._replace(witness_orientation=og)
     return verdict
+
+
+def _neighbourhood_verdict(g: Graph) -> Verdict | None:
+    """Non-representable, with a vertex and a forcing chain, when some
+    neighbourhood is not a comparability graph; else None.  Every graph
+    on at most four vertices is one."""
+    for v in range(g.n):
+        nbrs = g.neighbors(v)
+        chain = forcing_chain(induced_subgraph(g, nbrs)) if len(nbrs) >= 5 else None
+        if chain is not None:
+            chain = tuple((nbrs[a], nbrs[b]) for a, b in chain)
+            return Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(v, chain))
+    return None
+
+
+def _check_oracle(g: Graph, verdict: Verdict, og) -> None:
+    """Raise unless the search's answer og on g agrees with verdict."""
+    if (og is not None) != verdict.representable:
+        raise OracleDisagreement(
+            f"classification disagrees with the orientation oracle on "
+            f"{g!r}: {verdict.reason} said {verdict.representable}"
+        )
 
 
 def _relabel(verdict: Verdict, labels: tuple[int, ...]) -> Verdict:
     """Map a witness found in the reduced graph back to input labels."""
-    if verdict.witness_pattern is None:
-        return verdict
-    name, emb = verdict.witness_pattern
-    lifted = Embedding(tuple(labels[w] for w in emb.mapping))
-    return Verdict(verdict.representable, verdict.reason, (name, lifted))
+    if verdict.witness_pattern is not None:
+        name, emb = verdict.witness_pattern
+        lifted = Embedding(tuple(labels[w] for w in emb.mapping))
+        return verdict._replace(witness_pattern=(name, lifted))
+    if verdict.witness_chain is not None:
+        v, chain = verdict.witness_chain
+        lifted = tuple((labels[a], labels[b]) for a, b in chain)
+        return verdict._replace(witness_chain=(labels[v], lifted))
+    return verdict
+
+
+def classify_graph(
+    g: Graph, sp: SplitPartition | None, verify: bool = False, want_witness: bool = False
+) -> Verdict:
+    """Classify g, given its split partition (None when g is not split).
+
+    A non-split graph is representable by COMPARABILITY when it has a
+    transitive orientation, non-representable by NEIGHBOURHOOD when the
+    neighbourhood test fires, and otherwise decided by ORACLE_SEARCH.
+    want_witness=True attaches the transitive or found orientation to
+    representable verdicts; verify=True re-decides the first two
+    reasons by the search and raises OracleDisagreement on a mismatch.
+    """
+    if sp is not None:
+        return classify_split(sp, verify=verify, want_orientation=want_witness)
+    og = find_transitive_orientation(g)
+    verdict = Verdict(True, REASON_COMPARABILITY) if og is not None else _neighbourhood_verdict(g)
+    if verdict is None:
+        og = find_semi_transitive_orientation(g)
+        verdict = Verdict(og is not None, REASON_ORACLE)
+    elif verify:
+        _check_oracle(g, verdict, find_semi_transitive_orientation(g))
+    return verdict._replace(witness_orientation=og) if want_witness else verdict

@@ -2,11 +2,14 @@
 orientation search and bounded word search.
 
 Graphs travel as graph6 text, one per line, on files or stdin.
-Machine-readable output is line-oriented JSON behind --json.  Exit
-codes: 0 success, 1 usage or parse errors, 2 census expectation
-mismatch or a `represent --check` word that does not represent its
-graph, 3 internal invariant violation (two routes that must agree
-disagreed - worth reporting, not suppressing).
+Machine-readable output is line-oriented JSON behind --json.
+`classify` and `census` take ``classify.classify_graph``'s route; its
+reason tokens are CLIQUE_LE_3, COMPARABILITY, THEOREM_MAIN1,
+THEOREM_MAIN2, NEIGHBOURHOOD and ORACLE_SEARCH, and `classify --verify`
+re-decides every verdict the search did not give.  Exit codes: 0
+success, 1 usage or parse errors, 2 census expectation mismatch or a
+`represent --check` word that does not represent its graph, 3 internal
+invariant violation (two routes that must agree disagreed).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import time
 
 from . import families
-from .classify import REASON_ORACLE, Verdict, classify_split
+from .classify import classify_graph as _verdict_for
 from .graphs import (
     ENUMERATION_GUARD,
     Graph,
@@ -31,7 +34,6 @@ from .graphs import (
 from .orient import (
     OracleDisagreement,
     count_semi_transitive_extensions,
-    find_semi_transitive_orientation,
     is_semi_transitive,
     orient_by_bits,
     orientation_bits,
@@ -40,7 +42,6 @@ from .orient import (
 )
 from .split import (
     KIND_INVALID,
-    SplitPartition,
     check_relative_order,
     classify_all,
     split_partition,
@@ -81,14 +82,6 @@ def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
     return parsed, errors
 
 
-def _verdict_for(g: Graph, sp: SplitPartition | None, verify: bool, witness: bool) -> Verdict:
-    """Classify g, given its split partition (None when g is not split)."""
-    if sp is not None:
-        return classify_split(sp, verify=verify, want_orientation=witness)
-    og = find_semi_transitive_orientation(g)
-    return Verdict(og is not None, REASON_ORACLE, witness_orientation=og if witness else None)
-
-
 # ---------------------------------------------------------------------------
 # classify
 
@@ -107,6 +100,9 @@ def cmd_classify(args) -> int:
             if verdict.witness_pattern is not None:
                 name, emb = verdict.witness_pattern
                 extra = f"\twitness={name}:{','.join(map(str, emb.mapping))}"
+            elif verdict.witness_chain is not None:
+                v, chain = verdict.witness_chain
+                extra = f"\tchain={v}:{','.join(f'{a}>{b}' for a, b in chain)}"
             elif verdict.witness_orientation is not None:
                 extra = f"\torientation={orientation_bits(verdict.witness_orientation)}"
             print(f"{g6}\t{status}\t{verdict.reason}{extra}")
@@ -138,7 +134,7 @@ def cmd_census(args) -> int:
         if args.filter == "split" and sp is None:
             continue
         total += 1
-        verdict = _verdict_for(g, sp, verify=False, witness=False)
+        verdict = _verdict_for(g, sp)
         key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
         counts[key] = counts.get(key, 0) + 1
         if not verdict.representable:

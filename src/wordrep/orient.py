@@ -11,25 +11,22 @@ graph is word-representable exactly when it admits a semi-transitive
 orientation, which turns the exhaustive search below into a decision
 procedure.
 
-Two independent shortcut checkers live here, kept apart so tests can
-play one against the other: a path-enumerating witness finder (a loop
-over an explicit stack, like the engine), and a fast decision on
-reachability and base adjacency alone, shared by full orientations and
-the search's partial ones.  It counts an ancestor a
-of u adjacent to a descendant b of a base non-neighbour v of u as a
-shortcut even while {a, b} is undirected: a reaches b, so every
-acyclic completion directs it a->b.  One engine,
-``semi_transitive_orientations``, finds, counts and lists orientations
-by a depth-first search over edge directions whose state is the
-reachability closure alone, run as a loop over an explicit stack, so
-its depth is not bounded by Python's recursion limit.  The brute force
-over all 2^|E| orientations (``all_orientations``) is its test oracle.
-Transitive orientations come from Golumbic's G-decomposition, a loop
-over implication classes that never backtracks."""
+The shortcut decision reads reachability and base adjacency alone, on
+full orientations and the search's partial ones: an ancestor a of u
+adjacent to a descendant b of a base non-neighbour v of u is a
+shortcut even while {a, b} is undirected, since every acyclic
+completion directs it a->b.  One engine, ``semi_transitive_orientations``,
+finds, counts and lists orientations by a depth-first search over edge
+directions whose state is the reachability closure alone, run as a
+loop over an explicit stack.  Reversing every arc keeps an orientation
+semi-transitive, so with no arc fixed it tries one direction of its
+first edge and yields each orientation with its reverse.  Its test
+oracles are the brute force ``all_orientations`` and a path-enumerating
+shortcut finder.  Transitive orientations come from Golumbic's
+G-decomposition; a graph without one has a ``forcing_chain``."""
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from .graphs import Graph, _bits
@@ -253,96 +250,6 @@ def is_semi_transitive(og: OrientedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Witness-producing shortcut search.
-
-
-class ShortcutWitness(namedtuple("ShortcutWitness", "path shortcutting_edge missing_pair")):
-    """A directed path plus the shortcutting edge and one missing pair.
-
-    ``path`` runs v_0 -> ... -> v_k with k >= 3 along directed edges,
-    ``shortcutting_edge`` is (v_0, v_k), and ``missing_pair`` is a pair
-    (v_i, v_j), i < j, with no arc v_i -> v_j, certifying that the
-    subgraph induced by the path vertices is not transitive.
-    """
-
-    __slots__ = ()
-
-    def is_valid(self, og: OrientedGraph) -> bool:
-        p = self.path
-        if len(p) < 4 or len(set(p)) != len(p):
-            return False
-        if any(not og.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)):
-            return False
-        if self.shortcutting_edge != (p[0], p[-1]):
-            return False
-        if not og.has_arc(p[0], p[-1]):
-            return False
-        u, v = self.missing_pair
-        iu, iv = p.index(u), p.index(v)
-        if iu >= iv or og.has_arc(u, v) or og.has_arc(v, u):
-            return False
-        # the induced subgraph is a DAG with p[0] its only source and
-        # p[-1] its only sink, both witnessed by the Hamiltonian path
-        sub = set(p)
-        for w in p[1:]:
-            if not any(og.has_arc(q, w) for q in sub):
-                return False
-        for w in p[:-1]:
-            if not any(og.has_arc(w, q) for q in sub):
-                return False
-        return True
-
-
-def find_shortcut(og: OrientedGraph) -> ShortcutWitness | None:
-    """First shortcut witness under deterministic ordering, or None.
-
-    For every directed edge (a, b) in lexicographic order, enumerate
-    directed a->..->b paths depth-first (smallest next vertex first);
-    a path of length >= 3 whose vertex set induces a non-transitive
-    subgraph yields the witness.  The input must be acyclic.
-    """
-    n = og.n
-    reach = _descendants(og.out, n)
-    if reach is None:
-        raise ValueError("orientation contains a directed cycle")
-    for a in range(n):
-        for b in _bits(og.out[a]):
-            witness = _shortcut_via_edge(og, a, b, reach)
-            if witness is not None:
-                return witness
-    return None
-
-
-def _shortcut_via_edge(
-    og: OrientedGraph, a: int, b: int, reach: Sequence[int]
-) -> ShortcutWitness | None:
-    """The depth-first a->..->b path walk of ``find_shortcut``, run as a
-    loop over an explicit stack of untried next vertices (one iterator
-    per path vertex), so a long path does not exhaust Python's
-    recursion limit."""
-    out = og.out
-    path, on_path = [a], 1 << a
-    stack = [iter(_bits(out[a]))]
-    while stack:
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            on_path ^= 1 << path.pop()
-        elif w == b:
-            if len(path) >= 3:
-                p = path + [b]
-                for i, pi in enumerate(p):
-                    for pj in p[i + 1:]:
-                        if not out[pi] >> pj & 1:
-                            return ShortcutWitness(tuple(p), (a, b), (pi, pj))
-        elif reach[w] >> b & 1:
-            path.append(w)
-            on_path |= 1 << w
-            stack.append(iter(_bits(out[w] & ~on_path)))
-    return None
-
-
-# ---------------------------------------------------------------------------
 # The decision procedure: depth-first search over edge directions with
 # cycle and shortcut pruning on every assignment, run as a loop over an
 # explicit stack.  A stack entry is one arc still to be placed: its
@@ -377,8 +284,9 @@ def semi_transitive_orientations(
 
     The order is the depth-first order: free edges by descending
     endpoint-degree sum, then lexicographically, with u->v tried before
-    v->u for u<v.  Raises ValueError when a fixed arc is not an edge of
-    g or an edge is fixed more than once.
+    v->u for u<v; with no arc fixed, the first free edge takes u->v only
+    and each orientation is followed by its reverse.  Raises ValueError
+    when a fixed arc is not an edge of g or is fixed twice.
     """
     n = g.n
     fixed = list(fixed)
@@ -403,8 +311,9 @@ def semi_transitive_orientations(
         yield OrientedGraph._from_out(g, tuple(map(int.__and__, g.adj, reach)))
         return
     last = len(free) - 1
-    # v->u is pushed first so that u->v is explored first
-    stack = [(0, True, reach, anc), (0, False, reach, anc)]
+    # v->u is pushed first so that u->v is explored first; with no arc
+    # fixed, the first edge's v->u half is made of the reverses
+    stack = [(0, flip, reach, anc) for flip in ((True, False) if fixed else (False,))]
     while stack:
         i, flip, reach, anc = stack.pop()
         reach, anc = reach[:], anc[:]
@@ -412,8 +321,11 @@ def semi_transitive_orientations(
         if not _add_arc(reach, anc, a, b) or _has_shortcut(g.adj, reach, anc):
             continue
         if i == last:
-            # every edge is placed: v's out-neighbours are the ones it reaches
+            # every edge is placed: v's out-neighbours are the ones it
+            # reaches, and in the reverse the ones that reach it
             yield OrientedGraph._from_out(g, tuple(map(int.__and__, g.adj, reach)))
+            if not fixed:
+                yield OrientedGraph._from_out(g, tuple(map(int.__and__, g.adj, anc)))
         else:
             stack.append((i + 1, True, reach, anc))
             stack.append((i + 1, False, reach, anc))
@@ -451,43 +363,46 @@ def count_semi_transitive_extensions(
 # Thm 5.1).
 
 
+def _forced(adj: Sequence[int], a: int, b: int) -> list[tuple[int, int]]:
+    """The arcs that a->b forces in the graph ``adj`` (Golumbic's Γ):
+    a->c when c sees a but not b, and c->b when c sees b but not a."""
+    forced = [(a, c) for c in _bits(adj[a] & ~adj[b] & ~(1 << b))]
+    return forced + [(c, b) for c in _bits(adj[b] & ~adj[a] & ~(1 << a))]
+
+
+def _implication_class(adj: Sequence[int], u: int, v: int) -> tuple[dict, tuple | None]:
+    """The implication class of u->v in the graph ``adj`` as a map from
+    each arc to the arc that forced it (None for u->v), and None; or the
+    map so far and the first arc forced whose reverse it holds."""
+    parent = {(u, v): None}
+    work = [(u, v)]
+    for a, b in work:  # also reads the arcs appended below
+        for arc in _forced(adj, a, b):
+            if arc not in parent:
+                parent[arc] = (a, b)
+                if arc[::-1] in parent:
+                    return parent, arc
+                work.append(arc)
+    return parent, None
+
+
 def find_transitive_orientation(g: Graph) -> OrientedGraph | None:
     """A transitive orientation of g, or None when g is not a
-    comparability graph.
-
-    The G-decomposition, with no backtracking: direct the first
-    undirected edge, spread its implication class through the
-    undirected edges, add the class to the orientation and remove its
-    edges; repeat.  g is a comparability graph iff no class forces both
-    directions of an edge, and then the union of the classes is
-    transitive.
-    """
-    n = g.n
+    comparability graph.  The G-decomposition: add the implication class
+    of the first edge left, within the edges left, to the orientation
+    and remove its edges; repeat.  g is a comparability graph iff no
+    class holds an edge both ways, and then the union is transitive."""
     und = list(g.adj)  # the edges no class has taken yet
-    out = [0] * n
+    out = [0] * g.n
     for u, v in g.edges():
-        if not und[u] >> v & 1:
-            continue
-        cls = [0] * n  # cls[a] masks the heads of class arcs leaving a
-        cls[u] = 1 << v
-        work = [(u, v)]
-        while work:
-            a, b = work.pop()
-            # a->b forces a->c when c sees a but not b, and c->b when c
-            # sees b but not a
-            forced = [(a, c) for c in _bits(und[a] & ~und[b] & ~(1 << b))]
-            forced += [(c, b) for c in _bits(und[b] & ~und[a] & ~(1 << a))]
-            for x, y in forced:
-                if cls[y] >> x & 1:
-                    return None
-                if not cls[x] >> y & 1:
-                    cls[x] |= 1 << y
-                    work.append((x, y))
-        for x in range(n):
-            out[x] |= cls[x]
-            und[x] &= ~cls[x]
-            for y in _bits(cls[x]):
-                und[y] &= ~(1 << x)
+        if und[u] >> v & 1:
+            cls, clash = _implication_class(und, u, v)
+            if clash is not None:
+                return None
+            for a, b in cls:
+                out[a] |= 1 << b
+                und[a] &= ~(1 << b)
+                und[b] &= ~(1 << a)
     og = OrientedGraph._from_out(g, tuple(out))
     assert is_transitive(og)
     return og
@@ -495,3 +410,44 @@ def find_transitive_orientation(g: Graph) -> OrientedGraph | None:
 
 def has_transitive_orientation(g: Graph) -> bool:
     return find_transitive_orientation(g) is not None
+
+
+def forcing_chain(g: Graph) -> list[tuple[int, int]] | None:
+    """Arcs e_0, ..., e_k over edges of g, each forced by the one before
+    (``_forced``) and e_k the reverse of e_0, or None when g is a
+    comparability graph.  A transitive orientation holds all arcs of
+    such a chain or none, so the chain certifies that g has none.  It
+    comes from g's own classes, not the G-decomposition's later ones,
+    which force within what earlier ones left: g is not a comparability
+    graph iff one holds an edge both ways (Golumbic, Thm 5.1)."""
+    seen = set()  # arcs of classes that hold no edge both ways
+    for u, v in g.edges():
+        if (u, v) in seen:
+            continue
+        parent, clash = _implication_class(g.adj, u, v)
+        if clash is None:
+            seen.update(parent, ((b, a) for a, b in parent))
+            continue
+        chain = [clash[::-1]]  # u->v, ..., the reverse of clash
+        while chain[0] != (u, v):
+            chain.insert(0, parent[chain[0]])
+        # forcing is symmetric and commutes with reversal, so the path
+        # back from clash to u->v, every arc reversed, leads on to v->u
+        while clash != (u, v):
+            clash = parent[clash]
+            chain.append(clash[::-1])
+        return chain
+    return None
+
+
+def is_forcing_chain(g: Graph, v: int, chain: Sequence[tuple[int, int]]) -> bool:
+    """Does ``chain`` show, by adjacency tests alone, that N(v) is not a
+    comparability graph: arcs over edges of g inside N(v), each forcing
+    the next, the last one the first reversed?"""
+    arcs = [tuple(arc) for arc in chain]
+    inside = set(_bits(g.adj[v])) if 0 <= v < g.n else set()
+    return (
+        len(arcs) >= 2 and arcs[-1] == arcs[0][::-1]
+        and all(len(arc) == 2 and set(arc) <= inside and g.adjacent(*arc) for arc in arcs)
+        and all(nxt in _forced(g.adj, *arc) for arc, nxt in zip(arcs, arcs[1:]))
+    )

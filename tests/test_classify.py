@@ -13,10 +13,12 @@ from wordrep.classify import (
     REASON_COMPARABILITY,
     REASON_MAIN1,
     REASON_MAIN2,
+    REASON_NEIGHBOURHOOD,
     REASON_ORACLE,
     Verdict,
     classify_clique_four,
     classify_degree_two,
+    classify_graph,
     classify_split,
     find_a_ell,
 )
@@ -27,13 +29,17 @@ from wordrep.graphs import (
     enumerate_graphs,
     induced_subgraph,
     is_isomorphic,
+    parse_graph6,
     write_graph6,
 )
 from wordrep.cli import main
 from wordrep.orient import (
     OracleDisagreement,
     OrientedGraph,
+    find_semi_transitive_orientation,
+    is_forcing_chain,
     is_semi_transitive,
+    is_transitive,
     orientation_bits,
 )
 from wordrep.split import split_partition
@@ -257,12 +263,12 @@ def test_classify_split_witness_orientation():
 
 def test_verdict_record():
     v = Verdict(representable=True, reason=REASON_COMPARABILITY)
-    assert (v.witness_pattern, v.witness_orientation) == (None, None)
-    assert v == Verdict(True, REASON_COMPARABILITY, None, None)
+    assert (v.witness_pattern, v.witness_orientation, v.witness_chain) == (None, None, None)
+    assert v == Verdict(True, REASON_COMPARABILITY, None, None, None)
     assert hash(v) == hash(Verdict(True, REASON_COMPARABILITY))
     assert repr(v) == (
         "Verdict(representable=True, reason='COMPARABILITY', "
-        "witness_pattern=None, witness_orientation=None)"
+        "witness_pattern=None, witness_orientation=None, witness_chain=None)"
     )
     with pytest.raises(AttributeError):
         v.representable = False
@@ -276,6 +282,9 @@ def test_verdict_record():
     og = OrientedGraph(Graph(3, [(0, 1), (1, 2)]), [(0, 1), (2, 1)])
     yes = Verdict(True, REASON_ORACLE, witness_orientation=og)
     assert yes.to_json()["witness"] == {"orientation": orientation_bits(og)}
+    chain = ((0, 1), (0, 4), (3, 4), (3, 2), (1, 2), (1, 0))
+    no = Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(5, chain))
+    assert no.to_json()["witness"] == {"vertex": 5, "chain": [list(arc) for arc in chain]}
 
 
 def test_classify_split_witness_maps_to_input_labels():
@@ -353,3 +362,81 @@ def test_classify_is_stable_under_padding_moves(rng):
         twin = Graph(g.n + 1, g.edges() + [(w, g.n) for w in g.neighbors(v)])
         if split_partition(twin) is not None:
             assert classify_split(twin).representable == base
+
+
+def test_pipeline_agrees_with_the_engine_and_every_certificate_checks():
+    nmax = 8 if EXHAUSTIVE else 7
+    reasons = set()
+    for n in range(nmax + 1):
+        for g in enumerate_graphs(n):
+            sp = split_partition(g)
+            v = classify_graph(g, sp, want_witness=True)
+            assert v.representable == (find_semi_transitive_orientation(g) is not None)
+            reasons.add(v.reason)
+            if v.reason == REASON_NEIGHBOURHOOD:
+                assert is_forcing_chain(g, *v.witness_chain)
+            if v.witness_orientation is not None:
+                assert v.witness_orientation.base == g
+                assert is_semi_transitive(v.witness_orientation)
+                if sp is None and v.reason == REASON_COMPARABILITY:
+                    assert is_transitive(v.witness_orientation)
+    assert {REASON_COMPARABILITY, REASON_NEIGHBOURHOOD, REASON_ORACLE} <= reasons
+
+
+def test_split_neighbourhood_chain_maps_to_input_labels():
+    # a split graph past both characterizations, with an isolated pad
+    # at label 0 so that reduction relabels
+    core = parse_graph6("G?z\\~{")
+    padded = Graph(core.n + 1, [(a + 1, b + 1) for a, b in core.edges()])
+    for g in (core, padded):
+        v = classify_split(g, verify=True)
+        assert not v.representable and v.reason == REASON_NEIGHBOURHOOD
+        assert is_forcing_chain(g, *v.witness_chain)
+        vertex, chain = v.witness_chain
+        assert v.to_json()["witness"] == {"vertex": vertex, "chain": [list(a) for a in chain]}
+    assert classify_split(padded).witness_chain == classify_graph(
+        padded, split_partition(padded)
+    ).witness_chain
+
+
+def test_verify_rechecks_non_split_certificates(monkeypatch, tmp_path, capsys):
+    import wordrep.classify as classify_mod
+
+    real = classify_mod.find_semi_transitive_orientation
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", counting)
+    # one search per verdict, whichever route gave it
+    for g, reason in (
+        (families.cycle(4), REASON_COMPARABILITY),
+        (families.named("W5"), REASON_NEIGHBOURHOOD),
+        (families.cycle(5), REASON_ORACLE),
+    ):
+        assert split_partition(g) is None
+        calls.clear()
+        v = classify_graph(g, None, verify=True, want_witness=True)
+        assert v.reason == reason and calls == [g]
+        assert (v.witness_orientation is not None) == v.representable
+    # a neighbourhood lemma that fires on C5, and a transitive
+    # orientation of W5: the verdicts are wrong, and only --verify says so
+    fake = Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(0, ()))
+    monkeypatch.setattr(classify_mod, "_neighbourhood_verdict", lambda g: fake)
+    c5 = families.cycle(5)
+    assert classify_graph(c5, None) == fake
+    with pytest.raises(OracleDisagreement):
+        classify_graph(c5, None, verify=True)
+    w5 = families.named("W5")
+    monkeypatch.setattr(classify_mod, "find_transitive_orientation",
+                        lambda g: OrientedGraph(g, g.edges()))
+    assert classify_graph(w5, None).reason == REASON_COMPARABILITY
+    with pytest.raises(OracleDisagreement):
+        classify_graph(w5, None, verify=True)
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(w5) + "\n")
+    assert main(["classify", str(path)]) == 0
+    assert main(["classify", "--verify", str(path)]) == 3
+    assert "invariant violation" in capsys.readouterr().err

@@ -12,7 +12,7 @@ import pytest
 from wordrep import families
 from wordrep.cli import main
 from wordrep.graphs import Graph, parse_graph6, write_graph6
-from wordrep.orient import orient_by_bits, is_semi_transitive
+from wordrep.orient import is_forcing_chain, is_semi_transitive, orient_by_bits
 from wordrep.words import parse_word, represents
 
 
@@ -43,7 +43,7 @@ def test_classify_lines(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 3
-    assert lines[0].split("\t")[1:3] == ["non-representable", "ORACLE_SEARCH"]
+    assert lines[0].split("\t")[1:3] == ["non-representable", "NEIGHBOURHOOD"]
     assert lines[1].split("\t")[1:3] == ["non-representable", "THEOREM_MAIN1"]
     assert "witness=A_4:" in lines[1]
     assert lines[2].split("\t")[1:3] == ["representable", "COMPARABILITY"]
@@ -64,6 +64,21 @@ def test_classify_json_schema(tmp_path, capsys):
     bits = second["witness"]["orientation"]
     og = orient_by_bits(parse_graph6(second["graph6"]), bits)
     assert is_semi_transitive(og)
+
+
+def test_classify_neighbourhood_chain(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(f"{g6('W5')}\n")
+    code, out, err = run(capsys, "classify", str(path), "--json", "--witness", "--verify")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["representable"], record["reason"]) == (False, "NEIGHBOURHOOD")
+    witness = record["witness"]
+    assert set(witness) == {"vertex", "chain"}
+    assert is_forcing_chain(parse_graph6(record["graph6"]), witness["vertex"], witness["chain"])
+    code, out, err = run(capsys, "classify", str(path))
+    chain = ",".join(f"{a}>{b}" for a, b in witness["chain"])
+    assert out.split("\t")[3] == f"chain={witness['vertex']}:{chain}\n"
 
 
 def test_classify_parse_errors_exit_1(tmp_path, capsys):
@@ -93,7 +108,7 @@ def test_classify_reads_stdin(capsys, monkeypatch):
     lines = out.splitlines()
     assert [line.split("\t")[1:3] for line in lines] == [
         ["representable", "COMPARABILITY"],
-        ["non-representable", "ORACLE_SEARCH"],
+        ["non-representable", "NEIGHBOURHOOD"],
     ]
     assert len(err.splitlines()) == 1 and err.startswith("line 3: ")
 

@@ -1,6 +1,7 @@
 """Directed machinery: acyclicity, transitivity, the two shortcut
 checkers and their agreement, the orientation search as a decision
-procedure, extension counting, and serialization round trips."""
+procedure and its reversal symmetry, extension counting, forcing
+chains, and serialization round trips."""
 
 import pytest
 
@@ -8,16 +9,16 @@ from wordrep import families
 from wordrep.graphs import Graph, enumerate_graphs
 from wordrep.orient import (
     OrientedGraph,
-    ShortcutWitness,
     _add_arc,
     _has_shortcut,
     all_orientations,
     count_semi_transitive_extensions,
     find_semi_transitive_orientation,
-    find_shortcut,
     find_transitive_orientation,
+    forcing_chain,
     has_transitive_orientation,
     is_acyclic,
+    is_forcing_chain,
     is_semi_transitive,
     is_transitive,
     is_word_representable,
@@ -27,6 +28,7 @@ from wordrep.orient import (
     to_dot,
 )
 from conftest import EXHAUSTIVE, random_graph
+from shortcut_witness import ShortcutWitness, find_shortcut
 
 
 def cocktail_party(k: int) -> Graph:
@@ -278,6 +280,46 @@ def test_count_matches_backtracking_engine(rng):
             assert set(engine) == set(want)
 
 
+def test_engine_yields_each_orientation_with_its_reverse(rng):
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(2, 7), 0.5)
+        found = list(semi_transitive_orientations(g))
+        if not g.edge_count:
+            assert len(found) == 1
+            continue
+        assert len(found) % 2 == 0
+        for og, rev in zip(found[::2], found[1::2]):
+            assert set(rev.arcs()) == {(b, a) for a, b in og.arcs()}
+
+
+def test_engine_searches_one_direction_of_its_first_edge(monkeypatch):
+    # the search with no arc fixed visits as many nodes as the search
+    # with its first edge fixed one way, half as many as both ways
+    import wordrep.orient as orient_mod
+
+    real, calls = orient_mod._add_arc, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(orient_mod, "_add_arc", counting)
+
+    def nodes(g, fixed):
+        calls.clear()
+        count_semi_transitive_extensions(g, fixed)
+        return len(calls)
+
+    for g in (families.named("W5"), families.k_triangle(4), cocktail_party(4)):
+        # the engine's first edge: largest endpoint-degree sum, then lex
+        u, v = min(g.edges(), key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e))
+        half = nodes(g, [])
+        assert half == nodes(g, [(u, v)]) == nodes(g, [(v, u)])
+        assert count_semi_transitive_extensions(g, []) == sum(
+            count_semi_transitive_extensions(g, [arc]) for arc in ((u, v), (v, u))
+        )
+
+
 def test_shortcut_test_reads_base_adjacency_on_partial_orientations():
     # C4 0-1-2-3-0 with 0->1->2->3 placed and {0,3} free: 0 reaches 3,
     # so the only acyclic completion is 0->3, a shortcut over 0..3
@@ -412,3 +454,36 @@ def test_transitive_orientation_on_random_poset_graphs(rng):
                       if below[j] >> i & 1])
         og = find_transitive_orientation(g)
         assert og is not None and og.base == g and is_transitive(og)
+
+
+def test_forcing_chains_certify_every_non_comparability_graph_up_to_6():
+    # each graph h is the neighbourhood of an apex joined to all of it
+    certified = 0
+    for n in range(7):
+        for h in enumerate_graphs(n):
+            chain = forcing_chain(h)
+            assert (chain is None) == has_transitive_orientation(h)
+            if chain is None:
+                continue
+            cone = Graph(n + 1, h.edges() + [(w, n) for w in range(n)])
+            assert is_forcing_chain(cone, n, chain)
+            certified += 1
+            for bad in (
+                chain[:-1] + [chain[0]],  # ends where it began
+                chain[:1] + [chain[1][::-1]] + chain[2:],  # a step not forced
+                chain[:-1],  # stops short of the reverse
+            ):
+                assert not is_forcing_chain(cone, n, bad)
+            for w in {w for arc in chain for w in arc}:
+                assert not is_forcing_chain(cone, w, chain)  # w is not in N(w)
+    assert certified == 1 + 12  # C5 at n = 5, then 12 of the 156 classes at n = 6
+
+
+def test_is_forcing_chain_rejects_malformed_input():
+    w5 = families.named("W5")  # hub 5 over the 5-cycle 0-1-2-3-4-0
+    chain = [(0, 1), (0, 4), (3, 4), (3, 2), (1, 2), (1, 0)]
+    assert is_forcing_chain(w5, 5, chain)
+    assert is_forcing_chain(w5, 5, [list(arc) for arc in chain])  # JSON form
+    for v, bad in ((6, chain), (-1, chain), (5, []), (5, [(0, 1)]),
+                   (5, [(0, 1, 2), (1, 0)]), (5, [(0, 2), (2, 0)])):
+        assert not is_forcing_chain(w5, v, bad)
