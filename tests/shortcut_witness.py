@@ -13,7 +13,6 @@ from wordrep.graphs import _bits
 from wordrep.orient import OrientedGraph, _descendants
 
 
-
 class ShortcutWitness(namedtuple("ShortcutWitness", "path shortcutting_edge missing_pair")):
     """A directed path plus the shortcutting edge and one missing pair.
 
