@@ -1,4 +1,4 @@
-"""Time classification by deciding route over three graph corpora.
+"""Time classification by deciding route over four graph corpora.
 
 Workloads:
 
@@ -13,6 +13,11 @@ Workloads:
   reduced graph has clique size at least 5, some independent vertex of
   degree at least 3 and no transitive orientation (24 graphs, with
   ``--witness``);
+- ``split_fastpath_1``: the benchmark's ``split_fastpath`` corpus at
+  seed 1, 804 split graphs that clique size, a transitive orientation
+  or the two split theorems decide, classified with ``--witness``.  A
+  representable verdict whose graph reduction shrank takes one search
+  of the input graph for its witness, which this workload prices;
 - ``census_8_connected``: the 11117 connected classes on 8 vertices,
   without witnesses.
 
@@ -117,6 +122,7 @@ def workloads() -> dict[str, tuple[list[str] | None, bool]]:
     out = {f"oracle_mixed_{seed}": ([e.graph6 for e in graph_corpus("oracle_mixed", seed)], True)
            for seed in SEEDS}
     out["split_oracle"] = (split_oracle_corpus(), True)
+    out["split_fastpath_1"] = ([e.graph6 for e in graph_corpus("split_fastpath", 1)], True)
     out["census_8_connected"] = (None, False)
     return out
 

@@ -59,6 +59,7 @@ from .classify import (
     Verdict,
     classify_clique_four,
     classify_degree_two,
+    classify_graph,
     classify_split,
     find_a_ell,
 )

@@ -2,20 +2,19 @@
 forbidden-subgraph characterizations of word-representable split
 graphs.
 
-``classify_graph`` is the one route every verdict takes.  Split graphs
-go to ``classify_split``: after reduction, clique size at most three or
-a transitive orientation means representable, then the degree-two
-characterization (avoid T2 and every A_l, read off the cover graph; the
-generic scan ``find_a_ell`` is the tests' oracle) or the clique-four
-one (avoid T1-T4) decides.  Any other graph is representable when it
-has a transitive orientation.  Past those, a vertex whose neighbourhood
-is not a comparability graph rules representability out
-(Halldórsson–Kitaev–Pyatkin, *Semi-transitive orientations and
-word-representable graphs*, DAM 2016), with a forcing chain as
-witness, and the exhaustive orientation search decides the rest.
-Under verify=True every verdict the search did not give is checked
-against it; a disagreement raises, because it would falsify one of the
-encoded theorems.
+``classify_graph`` is the one route every verdict takes, and one ladder
+decides it.  A split graph is reduced first.  Clique size at most three
+(split graphs only) or a transitive orientation means representable;
+for split graphs the degree-two characterization (avoid T2 and every
+A_l, read off the cover graph; the generic scan ``find_a_ell`` is the
+tests' oracle) or the clique-four one (avoid T1-T4) decides next.  Past
+those, a vertex whose neighbourhood is not a comparability graph rules
+representability out (Halldórsson–Kitaev–Pyatkin, *Semi-transitive
+orientations and word-representable graphs*, DAM 2016), with a forcing
+chain as witness, and the exhaustive orientation search decides the
+rest.  Under verify=True every verdict the search of the input did not
+give is checked against it; a disagreement raises, because it would
+falsify one of the encoded theorems.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .orient import (
     find_semi_transitive_orientation,
     find_transitive_orientation,
     forcing_chain,
-    has_transitive_orientation,
     orientation_bits,
 )
 from .split import SplitPartition, _reduce_with_map, split_partition
@@ -70,6 +68,20 @@ class Verdict(namedtuple(
         elif self.witness_orientation is not None:
             witness = {"orientation": orientation_bits(self.witness_orientation)}
         return {"representable": self.representable, "reason": self.reason, "witness": witness}
+
+    def to_text(self) -> str:
+        """Status, reason and witness, tab-separated as ``classify`` prints
+        them: ``witness=T1:3,0,1``, ``chain=5:0>1,...`` or ``orientation=bits``."""
+        fields = ["representable" if self.representable else "non-representable", self.reason]
+        if self.witness_pattern is not None:
+            name, emb = self.witness_pattern
+            fields.append(f"witness={name}:{','.join(map(str, emb.mapping))}")
+        elif self.witness_chain is not None:
+            v, chain = self.witness_chain
+            fields.append(f"chain={v}:{','.join(f'{a}>{b}' for a, b in chain)}")
+        elif self.witness_orientation is not None:
+            fields.append(f"orientation={orientation_bits(self.witness_orientation)}")
+        return "\t".join(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -164,54 +176,60 @@ def classify_clique_four(sp: SplitPartition) -> Verdict:
 # Dispatcher.
 
 
-def classify_split(
-    split: Graph | SplitPartition,
-    *,
-    verify: bool = False,
-    want_orientation: bool = False,
+def classify_graph(
+    g: Graph, sp: SplitPartition | None, verify: bool = False, want_witness: bool = False
 ) -> Verdict:
-    """Classify a split graph, given as the graph or as its split
-    partition.  After reduction, clique size <= 3 (the graph is
-    3-colorable) or a transitive orientation means representable; then
-    the degree-two and clique-four characterizations apply; anything
-    left goes to the neighbourhood test, then the orientation search.
+    """Classify g, given its split partition (None when g is not split).
 
-    verify=True re-decides via the oracle and raises on mismatch;
-    want_orientation=True attaches a semi-transitive orientation of the
-    input graph to representable verdicts.  Both share one search of the
-    input graph, reused from the oracle branch when nothing was reduced.
+    A split graph is reduced first.  One ladder then runs on h, the
+    reduced graph, or g itself when g is not split or nothing was
+    reduced: CLIQUE_LE_3 (split, clique size at most three),
+    COMPARABILITY, THEOREM_MAIN1 and THEOREM_MAIN2 (split only),
+    NEIGHBOURHOOD, then ORACLE_SEARCH.  want_witness=True attaches to a
+    representable verdict the orientation its deciding stage found when
+    that stage ran on g, and otherwise that of one search of g.
+    verify=True re-decides every verdict the search of g did not give by
+    that same search, and raises OracleDisagreement on a mismatch.
     """
-    sp = split_partition(split) if isinstance(split, Graph) else split
+    h, og = g, None
+    if sp is not None:
+        sp, labels = _reduce_with_map(sp)
+        h = sp.graph
+    if sp is not None and sp.m <= 3:
+        verdict = Verdict(True, REASON_CLIQUE_LE_3)
+    elif (og := find_transitive_orientation(h)) is not None:
+        verdict = Verdict(True, REASON_COMPARABILITY)
+    elif sp is not None and all(h.degree(v) <= 2 for v in sp.independent):
+        verdict = classify_degree_two(sp)
+    elif sp is not None and sp.m == 4:
+        verdict = classify_clique_four(sp)
+    else:
+        verdict = _neighbourhood_verdict(h)
+        if verdict is None:
+            og = find_semi_transitive_orientation(h)
+            verdict = Verdict(og is not None, REASON_ORACLE)
+    if h is not g:
+        verdict, og = _relabel(verdict, labels), None
+    # one search of g, unless it gave the verdict already
+    if (h is not g or verdict.reason != REASON_ORACLE) and (
+        verify or want_witness and verdict.representable and og is None
+    ):
+        found = find_semi_transitive_orientation(g)
+        if (found is not None) != verdict.representable:
+            raise OracleDisagreement(
+                f"classification disagrees with the orientation oracle on "
+                f"{g!r}: {verdict.reason} said {verdict.representable}"
+            )
+        og = found if og is None else og
+    return verdict._replace(witness_orientation=og) if want_witness else verdict
+
+
+def classify_split(g: Graph, *, verify: bool = False, want_witness: bool = False) -> Verdict:
+    """``classify_graph`` on a graph that must be split."""
+    sp = split_partition(g)
     if sp is None:
         raise ValueError("input graph is not split")
-    g = sp.graph
-    rsp, labels = _reduce_with_map(sp)
-    reduced = rsp.graph
-
-    og, searched = None, False  # searched: og is the search's answer on g
-    if rsp.m <= 3:
-        verdict = Verdict(True, REASON_CLIQUE_LE_3)
-    elif has_transitive_orientation(reduced):
-        verdict = Verdict(True, REASON_COMPARABILITY)
-    elif all(reduced.degree(v) <= 2 for v in rsp.independent):
-        verdict = _relabel(classify_degree_two(rsp), labels)
-    elif rsp.m == 4:
-        verdict = _relabel(classify_clique_four(rsp), labels)
-    else:
-        verdict = _neighbourhood_verdict(reduced)
-        if verdict is None:
-            og = find_semi_transitive_orientation(reduced)
-            verdict = Verdict(og is not None, REASON_ORACLE)
-            searched = reduced is g  # nothing was reduced
-        verdict = _relabel(verdict, labels)
-
-    if verify or (want_orientation and verdict.representable):
-        if not searched:
-            og = find_semi_transitive_orientation(g)
-        _check_oracle(g, verdict, og)
-        if want_orientation and og is not None:
-            verdict = verdict._replace(witness_orientation=og)
-    return verdict
+    return classify_graph(g, sp, verify, want_witness)
 
 
 def _neighbourhood_verdict(g: Graph) -> Verdict | None:
@@ -227,15 +245,6 @@ def _neighbourhood_verdict(g: Graph) -> Verdict | None:
     return None
 
 
-def _check_oracle(g: Graph, verdict: Verdict, og) -> None:
-    """Raise unless the search's answer og on g agrees with verdict."""
-    if (og is not None) != verdict.representable:
-        raise OracleDisagreement(
-            f"classification disagrees with the orientation oracle on "
-            f"{g!r}: {verdict.reason} said {verdict.representable}"
-        )
-
-
 def _relabel(verdict: Verdict, labels: tuple[int, ...]) -> Verdict:
     """Map a witness found in the reduced graph back to input labels."""
     if verdict.witness_pattern is not None:
@@ -247,27 +256,3 @@ def _relabel(verdict: Verdict, labels: tuple[int, ...]) -> Verdict:
         lifted = tuple((labels[a], labels[b]) for a, b in chain)
         return verdict._replace(witness_chain=(labels[v], lifted))
     return verdict
-
-
-def classify_graph(
-    g: Graph, sp: SplitPartition | None, verify: bool = False, want_witness: bool = False
-) -> Verdict:
-    """Classify g, given its split partition (None when g is not split).
-
-    A non-split graph is representable by COMPARABILITY when it has a
-    transitive orientation, non-representable by NEIGHBOURHOOD when the
-    neighbourhood test fires, and otherwise decided by ORACLE_SEARCH.
-    want_witness=True attaches the transitive or found orientation to
-    representable verdicts; verify=True re-decides the first two
-    reasons by the search and raises OracleDisagreement on a mismatch.
-    """
-    if sp is not None:
-        return classify_split(sp, verify=verify, want_orientation=want_witness)
-    og = find_transitive_orientation(g)
-    verdict = Verdict(True, REASON_COMPARABILITY) if og is not None else _neighbourhood_verdict(g)
-    if verdict is None:
-        og = find_semi_transitive_orientation(g)
-        verdict = Verdict(og is not None, REASON_ORACLE)
-    elif verify:
-        _check_oracle(g, verdict, find_semi_transitive_orientation(g))
-    return verdict._replace(witness_orientation=og) if want_witness else verdict

@@ -3,10 +3,11 @@ orientation search and bounded word search.
 
 Graphs travel as graph6 text, one per line, on files or stdin.
 Machine-readable output is line-oriented JSON behind --json.
-`classify` and `census` take ``classify.classify_graph``'s route; its
-reason tokens are CLIQUE_LE_3, COMPARABILITY, THEOREM_MAIN1,
-THEOREM_MAIN2, NEIGHBOURHOOD and ORACLE_SEARCH, and `classify --verify`
-re-decides every verdict the search did not give.  Exit codes: 0
+`classify` and `census` take ``classify.classify_graph``'s one ladder,
+split graph or not; its reason tokens are CLIQUE_LE_3, COMPARABILITY,
+THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD and ORACLE_SEARCH.
+``Verdict`` writes each line's verdict and witness, and `classify
+--verify` re-decides every verdict the search did not give.  Exit codes: 0
 success, 1 usage or parse errors, 2 census expectation mismatch or a
 `represent --check` word that does not represent its graph, 3 internal
 invariant violation (two routes that must agree disagreed).
@@ -95,17 +96,7 @@ def cmd_classify(args) -> int:
             payload = {"graph6": g6, **verdict.to_json()}
             print(json.dumps(payload))
         else:
-            status = "representable" if verdict.representable else "non-representable"
-            extra = ""
-            if verdict.witness_pattern is not None:
-                name, emb = verdict.witness_pattern
-                extra = f"\twitness={name}:{','.join(map(str, emb.mapping))}"
-            elif verdict.witness_chain is not None:
-                v, chain = verdict.witness_chain
-                extra = f"\tchain={v}:{','.join(f'{a}>{b}' for a, b in chain)}"
-            elif verdict.witness_orientation is not None:
-                extra = f"\torientation={orientation_bits(verdict.witness_orientation)}"
-            print(f"{g6}\t{status}\t{verdict.reason}{extra}")
+            print(f"{g6}\t{verdict.to_text()}")
     return 1 if errors else 0
 
 

@@ -42,7 +42,7 @@ from wordrep.orient import (
     is_transitive,
     orientation_bits,
 )
-from wordrep.split import split_partition
+from wordrep.split import reduce_split, split_partition
 from conftest import EXHAUSTIVE, random_split_graph
 
 
@@ -252,7 +252,7 @@ def test_classify_split_examples():
 
 
 def test_classify_split_witness_orientation():
-    v = classify_split(families.k_triangle(5), want_orientation=True)
+    v = classify_split(families.k_triangle(5), want_witness=True)
     assert v.representable and v.witness_orientation is not None
     assert is_semi_transitive(v.witness_orientation)
     assert v.witness_orientation.base == families.k_triangle(5)
@@ -285,6 +285,11 @@ def test_verdict_record():
     chain = ((0, 1), (0, 4), (3, 4), (3, 2), (1, 2), (1, 0))
     no = Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(5, chain))
     assert no.to_json()["witness"] == {"vertex": 5, "chain": [list(arc) for arc in chain]}
+    assert v.to_text() == "representable\tCOMPARABILITY"
+    assert no.to_text() == "non-representable\tNEIGHBOURHOOD\tchain=5:0>1,0>4,3>4,3>2,1>2,1>0"
+    assert yes.to_text() == f"representable\tORACLE_SEARCH\torientation={orientation_bits(og)}"
+    pattern = Verdict(False, REASON_MAIN1, witness_pattern=("T1", Embedding((3, 0, 1))))
+    assert pattern.to_text() == "non-representable\tTHEOREM_MAIN1\twitness=T1:3,0,1"
 
 
 def test_classify_split_witness_maps_to_input_labels():
@@ -321,9 +326,19 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
         (families.named("T1"), REASON_MAIN1),
     ):
         calls.clear()
-        v = classify_split(g, verify=True, want_orientation=True)
+        v = classify_split(g, verify=True, want_witness=True)
         assert v.reason == reason and calls == [g]
         assert (v.witness_orientation is not None) == v.representable
+    # a comparability graph that reduction leaves whole: the transitive
+    # orientation is the witness, and verify alone searches g
+    k4 = families.complete(4)
+    assert reduce_split(split_partition(k4)).graph == k4
+    calls.clear()
+    v = classify_split(k4, want_witness=True)
+    assert v.reason == REASON_COMPARABILITY and calls == []
+    assert is_transitive(v.witness_orientation)
+    v = classify_split(k4, verify=True, want_witness=True)
+    assert calls == [k4] and is_transitive(v.witness_orientation)
     # a disagreement still raises, and the CLI still exits 3 on it
     monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", lambda g: None)
     with pytest.raises(OracleDisagreement):
@@ -378,7 +393,10 @@ def test_pipeline_agrees_with_the_engine_and_every_certificate_checks():
             if v.witness_orientation is not None:
                 assert v.witness_orientation.base == g
                 assert is_semi_transitive(v.witness_orientation)
-                if sp is None and v.reason == REASON_COMPARABILITY:
+                # the transitive orientation is the witness whenever
+                # reduction removed nothing
+                whole = sp is None or reduce_split(sp).graph.n == g.n
+                if whole and v.reason == REASON_COMPARABILITY:
                     assert is_transitive(v.witness_orientation)
     assert {REASON_COMPARABILITY, REASON_NEIGHBOURHOOD, REASON_ORACLE} <= reasons
 
