@@ -1,4 +1,4 @@
-"""Time isomorphism-class enumeration and the censuses built on it.
+"""Time isomorphism-class enumeration, its censuses, and the word search.
 
 Every value is the minimum over five runs, each in a fresh
 ``python3 -S`` process, so no run sees another's ``_catalog`` cache:
@@ -7,6 +7,9 @@ Every value is the minimum over five runs, each in a fresh
   call, timed inside the process (lower orders are built on the way).
 - ``census_7_<filter>`` (all, connected, split) and ``census_8_split``:
   wall-clock seconds of the ``census`` command, process start to exit.
+- ``represent_k_triangle_<l>`` (l = 4, 5): wall-clock seconds of
+  ``represent --max-uniformity 3`` on K_TRIANGLE l, fed as graph6 on
+  standard input: the bounded word search, not an enumeration.
 
 Run it once per source tree under its own label.  It writes
 ``BENCH_enumeration.json`` at the root of the repository and keeps the
@@ -35,6 +38,9 @@ CATALOG = "import time; from wordrep.graphs import _catalog; " \
           "t = time.perf_counter(); _catalog({n}); print(time.perf_counter() - t)"
 CENSUSES = (("census_7_all", 7, "all"), ("census_7_connected", 7, "connected"),
             ("census_7_split", 7, "split"), ("census_8_split", 8, "split"))
+REPRESENTS = (("represent_k_triangle_4", 4), ("represent_k_triangle_5", 5))
+GRAPH6 = "from wordrep.families import k_triangle; from wordrep.graphs import write_graph6; " \
+         "print(write_graph6(k_triangle({l})))"
 
 
 def catalog_seconds(env: dict, n: int) -> float:
@@ -50,6 +56,13 @@ def census_seconds(env: dict, n: int, flt: str) -> float:
     return time.perf_counter() - start
 
 
+def represent_seconds(env: dict, g6: str) -> float:
+    argv = [sys.executable, "-S", "-m", "wordrep.cli", "represent", "--max-uniformity", "3"]
+    start = time.perf_counter()
+    subprocess.run(argv, env=env, check=True, input=g6, text=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
+
+
 def measure(src: Path) -> dict[str, float]:
     env = dict(os.environ, PYTHONPATH=str(src))
     rows = {}
@@ -57,6 +70,10 @@ def measure(src: Path) -> dict[str, float]:
         rows[f"catalog_{n}"] = min(catalog_seconds(env, n) for _ in range(RUNS))
     for name, n, flt in CENSUSES:
         rows[name] = min(census_seconds(env, n, flt) for _ in range(RUNS))
+    for name, l in REPRESENTS:
+        g6 = subprocess.run([sys.executable, "-S", "-c", GRAPH6.format(l=l)],
+                            env=env, check=True, capture_output=True, text=True).stdout
+        rows[name] = min(represent_seconds(env, g6) for _ in range(RUNS))
     return {k: round(v, 4) for k, v in rows.items()}
 
 
@@ -68,7 +85,7 @@ def main() -> int:
     report = json.loads(OUT.read_text()) if OUT.exists() else {}
     report["method"] = (f"minimum of {RUNS} runs, each in a fresh python3 -S process; "
                         "catalog_<n>: seconds of _catalog(n) in process; "
-                        "census_*: CLI wall-clock seconds")
+                        "census_*, represent_*: CLI wall-clock seconds")
     report["machine"] = {"python": platform.python_version(), "cores": os.cpu_count(),
                          "arch": platform.machine()}
     report[args.label] = measure(args.src.resolve())

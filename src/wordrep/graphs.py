@@ -9,8 +9,8 @@ order) fast enough in pure Python.  Graphs are immutable value objects
 and every function returns fresh values.  Two caches keep state: a
 Graph stores its colour refinement in ``_wl`` on first use, and
 ``_catalog`` keeps each order's isomorphism classes for the life of the
-process; the canonical forms that pick them are dropped once an order
-is built.  Both hold values that depend on their input alone, so a
+process; no table of canonical forms outlives the children of one
+parent.  Both hold values that depend on their input alone, so a
 cache hit returns what a recomputation would, and two threads racing
 to fill one store equal values; concurrent use is safe.
 """
@@ -314,7 +314,7 @@ def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
         sigs = [(c, tuple(sorted([colors[w] for w in nb]))) for c, nb in zip(colors, nbrs)]
         names = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [names[s] for s in sigs]
-        if len(names) == ncolors:
+        if len(names) in (ncolors, len(colors)):  # stable, or discrete and so stable
             return colors
         ncolors = len(names)
 
@@ -354,20 +354,23 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return _match(h, g, order, [by_color[gc[v]] for v in order]) is not None
 
 
-def _canonical_form(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) -> tuple[int, ...]:
     """A complete invariant: equal forms iff isomorphic graphs.
 
     Individualisation-refinement (McKay-Piperno, *Practical graph
-    isomorphism II*, 2014): refine from degrees; while a colour holds
-    several vertices, branch on each vertex of the first such colour,
-    giving it a colour just above its old one, and refine again.  The
-    form is the largest adjacency read under a leaf's colours 0..n-1.
-    Every step sees the colours alone, so relabelling the graph permutes
-    the leaves.  Of twins only the first is branched on: swapping two
-    twins is an automorphism, so their branches hold the same leaves."""
+    isomorphism II*, 2014): refine ``colors`` (degrees by default);
+    while a colour holds several vertices, branch on each vertex of the
+    first such colour, giving it a colour just above its old one, and
+    refine again.  The form is the largest adjacency read under a leaf's
+    colours 0..n-1.  Every step sees the colours alone, so relabelling
+    the graph permutes the leaves.  Of twins only the first is branched
+    on: swapping two twins is an automorphism, so their branches hold
+    the same leaves.  Colouring one vertex above all degrees gives a
+    rooted form, equal for two vertices iff an automorphism maps one to
+    the other."""
     nbrs = [_bits(m) for m in adj]
     best: tuple[int, ...] = ()
-    stack = [_refine(nbrs, [len(nb) for nb in nbrs])]
+    stack = [_refine(nbrs, [len(nb) for nb in nbrs] if colors is None else colors)]
     while stack:
         colors = stack.pop()
         if len(set(colors)) == n:
@@ -386,10 +389,9 @@ def _canonical_form(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration of isomorphism classes: each class of order n-1,
-# in catalogue order, gains vertex n-1 by every neighbourhood mask in
-# increasing order, and the first child with a new canonical form is
-# kept.  Class counts for n = 0..8: 1, 1, 2, 4, 11, 34, 156, 1044, 12346.
+# Exhaustive enumeration of isomorphism classes by canonical augmentation
+# (McKay, *Isomorph-free exhaustive generation*, J. Algorithms 1998).
+# Class counts for n = 0..8: 1, 1, 2, 4, 11, 34, 156, 1044, 12346.
 
 
 def enumerate_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
@@ -409,22 +411,47 @@ def enumerate_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
     yield from _catalog(n)
 
 
+def _last_vertex_form(adj: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The form rooted at the last vertex v when v lies in the canonical
+    orbit, else None.  Label-free keys pick that orbit, cheapest first:
+    greatest degree, greatest sorted neighbour degrees, greatest rooted
+    form.  Each key is an invariant, so the pick is an orbit of
+    automorphisms; v's twins share v's orbit and need no form."""
+    n = len(adj)
+    v = n - 1
+    deg = [m.bit_count() for m in adj]
+    if deg[v] < max(deg):
+        return None
+    key = [sorted([deg[w] for w in _bits(m)]) if d == deg[v] else [] for m, d in zip(adj, deg)]
+    if key[v] < max(key):
+        return None
+    ties = [v] + [u for u in range(v) if key[u] == key[v] and not _twins(adj, u, v)]
+    forms = [_canonical_form(n, adj, [n if w == u else d for w, d in enumerate(deg)]) for u in ties]
+    return forms[0] if forms[0] == max(forms) else None
+
+
 @lru_cache(maxsize=None)
 def _catalog(n: int) -> tuple[Graph, ...]:
+    """Each class of order n-1, in catalogue order, gains vertex n-1 by
+    every neighbourhood mask in increasing order.  A child is kept when
+    n-1 is in its canonical orbit, so the parent is its canonical
+    deletion, and no earlier child of that parent has its rooted form."""
     if n == 0:
         return (Graph(0),)
-    seen: dict[tuple[int, ...], Graph] = {}
+    out: list[Graph] = []
     newbit = 1 << (n - 1)
     for parent in _catalog(n - 1):
         padj = parent.adj
         # twins u < v of the parent: a mask holding v but not u gives a
         # child isomorphic to the smaller mask with the two swapped
         twins = [(1 << u, 1 << v) for v in range(n - 1) for u in range(v) if _twins(padj, u, v)]
+        forms = set()
         for mask in range(newbit):
             if any(mask & bv and not mask & bu for bu, bv in twins):
                 continue
             adj = tuple(r | newbit if mask >> u & 1 else r for u, r in enumerate(padj)) + (mask,)
-            form = _canonical_form(n, adj)
-            if form not in seen:
-                seen[form] = Graph._from_adj(n, adj)
-    return tuple(seen.values())
+            form = _last_vertex_form(adj)
+            if form is not None and form not in forms:
+                forms.add(form)
+                out.append(Graph._from_adj(n, adj))
+    return tuple(out)

@@ -144,13 +144,16 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
     A stack entry is (letters to try, parent's word, remaining copies,
     pos, broken masks, used-up mask).  Siblings share the parent's
     state, which is copied on pop and never mutated.  Placing a letter
-    prunes when it repeats an edge pair; using it up prunes when it
-    still alternates with a used-up non-neighbour.  An entry tries its
-    least letter after pushing back the rest, so the lexicographically
-    least word comes first and the stack holds at most two entries per
-    level.  Only letter 0 may start the word (the cyclic-shift cut).
+    prunes when it repeats an edge pair.  Using c up prunes when c still
+    alternates with a non-neighbour d: d has k or k - 1 copies placed,
+    any last one comes after c's, so {c, d} would end alternating.  No
+    prune cuts a representant.  An entry tries its least letter after
+    pushing back the rest, so the lexicographically least word comes
+    first and the stack holds at most two entries per level.  Only
+    letter 0 may start the word (the cyclic-shift cut).
     """
     n = g.n
+    full = (1 << n) - 1
     stack = [(1, (), [k] * n, [-1] * n, [0] * n, 0)]
     while stack:
         letters, word, remaining, pos, broken, used = stack.pop()
@@ -166,7 +169,7 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
             broken[d] |= 1 << c
         remaining[c] -= 1
         if not remaining[c]:
-            if used & ~g.adj[c] & ~broken[c]:
+            if (full ^ 1 << c) & ~g.adj[c] & ~broken[c]:
                 continue
             used |= 1 << c
         pos[c] = len(word)
@@ -174,7 +177,7 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
         if len(word) == n * k:
             assert represents(word, g)
             return word
-        stack.append(((1 << n) - 1 & ~used, word, remaining, pos, broken, used))
+        stack.append((full & ~used, word, remaining, pos, broken, used))
     return None
 
 

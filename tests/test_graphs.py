@@ -343,13 +343,45 @@ def _catalog_by_buckets(n: int) -> tuple[Graph, ...]:
 
 
 def test_catalog_matches_bucket_oracle():
-    # same graphs in the same order; n = 8 takes the oracle minutes
+    # canonical augmentation keeps other representatives, in another
+    # order, so each oracle class must be isomorphic to exactly one
+    # catalogue graph; n = 8 takes the oracle minutes
     for n in range(9 if EXHAUSTIVE else 8):
-        assert _catalog(n) == _catalog_by_buckets(n)
+        catalog, oracle = _catalog(n), _catalog_by_buckets(n)
+        assert len(catalog) == len(oracle)
+        buckets: dict[tuple, list[Graph]] = {}
+        for g in catalog:
+            buckets.setdefault(iso_invariant(g), []).append(g)
+        for h in oracle:
+            assert sum(is_isomorphic(h, g) for g in buckets.get(iso_invariant(h), [])) == 1
 
 
 def form(g: Graph) -> tuple[int, ...]:
     return _canonical_form(g.n, g.adj)
+
+
+def rooted_form(g: Graph, root: int) -> tuple[int, ...]:
+    """The form with ``root`` coloured above every degree, as canonical
+    augmentation takes it."""
+    return _canonical_form(g.n, g.adj, [g.n if v == root else g.degree(v) for v in range(g.n)])
+
+
+def test_rooted_form_follows_the_root():
+    rng = random.Random(44)
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(100)]
+    for g in graphs + [h for h in hard_graphs() if h.n]:
+        root = rng.randrange(g.n)
+        f = rooted_form(g, root)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert rooted_form(relabel(g, perm), perm[root]) == f
+    path = Graph(5, [(i, i + 1) for i in range(4)])
+    assert rooted_form(path, 0) == rooted_form(path, 4) != rooted_form(path, 2)
+    assert rooted_form(path, 1) == rooted_form(path, 3) != rooted_form(path, 2)
+    # an edge plus a triangle: roots of different degrees, no automorphism
+    g = Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    assert rooted_form(g, 0) != rooted_form(g, 2)
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -8,9 +8,12 @@ from itertools import combinations, permutations
 
 import pytest
 
+from conftest import random_graph
 from wordrep import families
-from wordrep.graphs import Graph, enumerate_graphs
+from wordrep.graphs import Graph, _bits, enumerate_graphs
 from wordrep.words import (
+    _repeats,
+    _search_uniform,
     alternate,
     alternation_graph,
     find_representant,
@@ -180,6 +183,54 @@ def test_find_representant_returns_the_least_word(max_n, max_uniformity):
     for n in range(1, max_n + 1):
         for g in enumerate_graphs(n):
             assert find_representant(g, max_uniformity) == least_uniform_word(g, max_uniformity)
+
+
+def search_uniform_unpruned(g: Graph, k: int):
+    """Oracle for ``_search_uniform``: the same search, whose use-up
+    check looks only at the non-neighbours already used up."""
+    n = g.n
+    stack = [(1, (), [k] * n, [-1] * n, [0] * n, 0)]
+    while stack:
+        letters, word, remaining, pos, broken, used = stack.pop()
+        c = (letters & -letters).bit_length() - 1
+        if letters ^ 1 << c:
+            stack.append((letters ^ 1 << c, word, remaining, pos, broken, used))
+        repeats = _repeats(pos, c)
+        if repeats & g.adj[c]:
+            continue
+        remaining, pos, broken = remaining[:], pos[:], broken[:]
+        broken[c] |= repeats
+        for d in _bits(repeats):
+            broken[d] |= 1 << c
+        remaining[c] -= 1
+        if not remaining[c]:
+            if used & ~g.adj[c] & ~broken[c]:
+                continue
+            used |= 1 << c
+        pos[c] = len(word)
+        word += (c,)
+        if len(word) == n * k:
+            return word
+        stack.append(((1 << n) - 1 & ~used, word, remaining, pos, broken, used))
+    return None
+
+
+def test_word_search_prune_keeps_the_unpruned_answer():
+    # the use-up prune drops only subtrees without a word, so the least
+    # word (or None) is the oracle's; K_TRIANGLE 5 stops at k = 1
+    # because the oracle takes minutes at k = 2
+    rng = random.Random(14)
+    cases = [(g, k) for n in range(1, 7) for g in enumerate_graphs(n) for k in (1, 2, 3)]
+    for g in [families.k_triangle(l) for l in (3, 4, 5)] + [families.cycle(5), families.cycle(7)]:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        cases += [(g, k) for k in ((1,) if g.n > 8 else (1, 2, 3))]
+    for _ in range(60):
+        g = random_graph(rng, 7)
+        cases += [(g, 1), (g, 2)]
+    for g, k in cases:
+        assert _search_uniform(g, k) == search_uniform_unpruned(g, k)
 
 
 def test_alternation_graph_and_defect_agree_with_alternate():
