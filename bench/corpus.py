@@ -42,19 +42,21 @@ of other labels already there:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from report import ROOT, main
+
 OUT = ROOT / "BENCH_corpus.json"
 RUNS = 5
+METHOD = (f"minimum of {RUNS} runs; cli_s: wall-clock seconds of one fresh "
+          "python3 -S process over the whole corpus; routes: per reason, verdicts "
+          "and seconds timed graph by graph in one process, minimum per route")
 SEEDS = (1, 7919)
 CLI = "from wordrep.cli import console_main; console_main()"
 # Runs in the measured tree: classify each graph RUNS times through the
@@ -160,21 +162,5 @@ def measure(src: Path) -> dict:
     return rows
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this tree's rows, e.g. parent or change")
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tree's src/ directory")
-    args = ap.parse_args()
-    report = json.loads(OUT.read_text()) if OUT.exists() else {}
-    report["method"] = (f"minimum of {RUNS} runs; cli_s: wall-clock seconds of one fresh "
-                        "python3 -S process over the whole corpus; routes: per reason, verdicts "
-                        "and seconds timed graph by graph in one process, minimum per route")
-    report["machine"] = {"python": platform.python_version(), "cores": os.cpu_count(),
-                         "arch": platform.machine()}
-    report[args.label] = measure(args.src.resolve())
-    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, OUT, METHOD, measure))

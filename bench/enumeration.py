@@ -1,10 +1,15 @@
 """Time isomorphism-class enumeration, its censuses, and the word search.
 
 Every value is the minimum over five runs, each in a fresh
-``python3 -S`` process, so no run sees another's ``_catalog`` cache:
+``python3 -S`` process:
 
-- ``catalog_<n>`` (n = 6, 7, 8): seconds of one ``graphs._catalog(n)``
-  call, timed inside the process (lower orders are built on the way).
+- ``catalog_<n>`` (n = 6, 7, 8): seconds to take every class from one
+  ``graphs._catalog(n)`` call, timed inside the process (lower orders
+  are built on the way);
+- ``catalog_<n>_maxrss_kb`` (n = 7, 8): the peak resident set of that
+  process in KB, ``VmHWM`` of ``/proc/self/status`` (Linux).  Not
+  ``ru_maxrss``: a child started by ``subprocess`` inherits the peak of
+  the process that started it, so it would read this script's own.
 - ``census_7_<filter>`` (all, connected, split) and ``census_8_split``:
   wall-clock seconds of the ``census`` command, process start to exit.
 - ``represent_k_triangle_<l>`` (l = 4, 5): wall-clock seconds of
@@ -22,20 +27,24 @@ sit side by side:
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from report import ROOT, main
+
 OUT = ROOT / "BENCH_enumeration.json"
 RUNS = 5
+METHOD = (f"minimum of {RUNS} runs, each in a fresh python3 -S process; "
+          "catalog_<n>: seconds to take every class of _catalog(n) in process; "
+          "catalog_<n>_maxrss_kb: that process's VmHWM; "
+          "census_*, represent_*: CLI wall-clock seconds")
 CATALOG = "import time; from wordrep.graphs import _catalog; " \
-          "t = time.perf_counter(); _catalog({n}); print(time.perf_counter() - t)"
+          "t = time.perf_counter(); sum(1 for _ in _catalog({n})); " \
+          "print(time.perf_counter() - t, " \
+          "next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1])"
 CENSUSES = (("census_7_all", 7, "all"), ("census_7_connected", 7, "connected"),
             ("census_7_split", 7, "split"), ("census_8_split", 8, "split"))
 REPRESENTS = (("represent_k_triangle_4", 4), ("represent_k_triangle_5", 5))
@@ -43,10 +52,12 @@ GRAPH6 = "from wordrep.families import k_triangle; from wordrep.graphs import wr
          "print(write_graph6(k_triangle({l})))"
 
 
-def catalog_seconds(env: dict, n: int) -> float:
+def catalog_run(env: dict, n: int) -> tuple[float, int]:
+    """(seconds, peak RSS in KB) of one process that enumerates order n."""
     out = subprocess.run([sys.executable, "-S", "-c", CATALOG.format(n=n)],
                          env=env, check=True, capture_output=True, text=True)
-    return float(out.stdout)
+    seconds, maxrss = out.stdout.split()
+    return float(seconds), int(maxrss)
 
 
 def census_seconds(env: dict, n: int, flt: str) -> float:
@@ -67,7 +78,10 @@ def measure(src: Path) -> dict[str, float]:
     env = dict(os.environ, PYTHONPATH=str(src))
     rows = {}
     for n in (6, 7, 8):
-        rows[f"catalog_{n}"] = min(catalog_seconds(env, n) for _ in range(RUNS))
+        runs = [catalog_run(env, n) for _ in range(RUNS)]
+        rows[f"catalog_{n}"] = min(seconds for seconds, _ in runs)
+        if n > 6:
+            rows[f"catalog_{n}_maxrss_kb"] = min(maxrss for _, maxrss in runs)
     for name, n, flt in CENSUSES:
         rows[name] = min(census_seconds(env, n, flt) for _ in range(RUNS))
     for name, l in REPRESENTS:
@@ -77,22 +91,5 @@ def measure(src: Path) -> dict[str, float]:
     return {k: round(v, 4) for k, v in rows.items()}
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this tree's rows, e.g. parent or change")
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tree's src/ directory")
-    args = ap.parse_args()
-    report = json.loads(OUT.read_text()) if OUT.exists() else {}
-    report["method"] = (f"minimum of {RUNS} runs, each in a fresh python3 -S process; "
-                        "catalog_<n>: seconds of _catalog(n) in process; "
-                        "census_*, represent_*: CLI wall-clock seconds")
-    report["machine"] = {"python": platform.python_version(), "cores": os.cpu_count(),
-                         "arch": platform.machine()}
-    report[args.label] = measure(args.src.resolve())
-    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report[args.label], indent=2))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, OUT, METHOD, measure))

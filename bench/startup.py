@@ -26,10 +26,7 @@ of other labels already there:
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -37,9 +34,14 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from report import ROOT, main
+
 OUT = ROOT / "BENCH_startup.json"
 RUNS = 21
+METHOD = (f"minimum and median of {RUNS} fresh python3 -S processes per row, "
+          "wall-clock ms from spawn to exit; cold: -B with an empty "
+          "PYTHONPYCACHEPREFIX (every non-frozen module compiled); warm: -B with "
+          "a prefix one untimed run filled")
 CLI = "from wordrep.cli import console_main; console_main()"
 CALLS = (
     ("import", ["-c", "import wordrep.cli"], ""),
@@ -80,23 +82,5 @@ def measure(src: Path) -> dict[str, float]:
     return rows
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this tree's rows, e.g. parent or change")
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="the tree's src/ directory")
-    args = ap.parse_args()
-    report = json.loads(OUT.read_text()) if OUT.exists() else {}
-    report["method"] = (f"minimum and median of {RUNS} fresh python3 -S processes per row, "
-                        "wall-clock ms from spawn to exit; cold: -B with an empty "
-                        "PYTHONPYCACHEPREFIX (every non-frozen module compiled); warm: -B with "
-                        "a prefix one untimed run filled")
-    report["machine"] = {"python": platform.python_version(), "cores": os.cpu_count(),
-                         "arch": platform.machine()}
-    report[args.label] = measure(args.src.resolve())
-    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(report[args.label], indent=2))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__, OUT, METHOD, measure))

@@ -287,17 +287,17 @@ def cmd_orient(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    try:
+        checked = None if args.check is None else parse_word(args.check)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     parsed, errors = _parse_inputs(args.inputs)
     status = 1 if errors else 0
     for g in parsed:
         g6 = write_graph6(g)
-        if args.check is not None:
-            try:
-                w = parse_word(args.check)
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 1
-            ok = represents(w, g)
+        if checked is not None:
+            ok = represents(checked, g)
             print(f"{g6}\t{'represents' if ok else 'does-not-represent'}")
             status = status or (0 if ok else 2)
             continue

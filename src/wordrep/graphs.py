@@ -5,21 +5,16 @@ enumeration of isomorphism classes.
 Vertices are always the integers 0..n-1.  A graph stores one adjacency
 bitmask per vertex, which keeps the search loops elsewhere in this
 package (orientation backtracking, censuses over all graphs of a given
-order) fast enough in pure Python.  Graphs are immutable value objects
-and every function returns fresh values.  Two caches keep state: a
-Graph stores its colour refinement in ``_wl`` on first use, and
-``_catalog`` keeps each order's isomorphism classes for the life of the
-process; no table of canonical forms outlives the children of one
-parent.  Both hold values that depend on their input alone, so a
-cache hit returns what a recomputation would, and two threads racing
-to fill one store equal values; concurrent use is safe.
+order) fast enough in pure Python.  Graphs are immutable value objects,
+every function returns fresh values, and the module keeps no state.
+Enumeration streams each class as it is accepted, so it holds one
+chain of parents, not a catalogue.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 
 GRAPH6_MAX_N = 62     # short-form graph6 only
 ENUMERATION_GUARD = 8  # enumerate_graphs refuses larger n unless overridden
@@ -40,7 +35,7 @@ class Graph:
     relation is kept symmetric and loop-free by construction.
     """
 
-    __slots__ = ("n", "adj", "_wl")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -55,7 +50,6 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        self._wl = None
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -63,7 +57,6 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.adj = adj
-        g._wl = None
         return g
 
     def adjacent(self, u: int, v: int) -> bool:
@@ -324,16 +317,15 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return (adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0
 
 
-def _refine_colors(g: Graph) -> tuple[int, ...]:
-    """Stable colouring of g refined from its degrees, cached on the graph."""
-    if g._wl is None:
-        nbrs = [_bits(m) for m in g.adj]
-        g._wl = tuple(_refine(nbrs, [len(nb) for nb in nbrs]))
-    return g._wl
+def _refine_colors(g: Graph) -> list[int]:
+    """Stable colouring of g refined from its degrees."""
+    nbrs = [_bits(m) for m in g.adj]
+    return _refine(nbrs, [len(nb) for nb in nbrs])
 
 
 def iso_invariant(g: Graph) -> tuple:
-    """Cheap isomorphism invariant: ``is_isomorphic``'s early reject."""
+    """Cheap isomorphism invariant: what ``is_isomorphic`` compares
+    before it matches."""
     return (g.n, g.edge_count, tuple(sorted(_refine_colors(g))))
 
 
@@ -341,16 +333,17 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff some bijection of vertex sets preserves adjacency both ways."""
     if g.adj == h.adj:
         return True
-    if iso_invariant(g) != iso_invariant(h):
+    if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    n = g.n
     gc = _refine_colors(g)
     hc = _refine_colors(h)
+    if sorted(gc) != sorted(hc):
+        return False
     by_color: dict[int, list[int]] = {}
-    for w in range(n):
-        by_color.setdefault(hc[w], []).append(w)
+    for w, c in enumerate(hc):
+        by_color.setdefault(c, []).append(w)
     # match most-constrained vertices first
-    order = sorted(range(n), key=lambda v: (len(by_color[gc[v]]), -g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: (len(by_color[gc[v]]), -g.degree(v), v))
     return _match(h, g, order, [by_color[gc[v]] for v in order]) is not None
 
 
@@ -396,7 +389,8 @@ def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) ->
 
 def enumerate_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of simple graphs
-    on n vertices, in a deterministic order.
+    on n vertices, in a deterministic order.  Each call enumerates
+    afresh and lazily: a class is yielded as soon as it is accepted.
 
     Guarded at n <= 8; pass allow_large=True to go beyond (the run time
     grows steeply).
@@ -430,15 +424,16 @@ def _last_vertex_form(adj: tuple[int, ...]) -> tuple[int, ...] | None:
     return forms[0] if forms[0] == max(forms) else None
 
 
-@lru_cache(maxsize=None)
-def _catalog(n: int) -> tuple[Graph, ...]:
+def _catalog(n: int) -> Iterator[Graph]:
     """Each class of order n-1, in catalogue order, gains vertex n-1 by
     every neighbourhood mask in increasing order.  A child is kept when
     n-1 is in its canonical orbit, so the parent is its canonical
-    deletion, and no earlier child of that parent has its rooted form."""
+    deletion, and no earlier child of that parent has its rooted form.
+    Each call enumerates afresh, yielding a child as it is kept and
+    reading the parents from a fresh ``_catalog(n - 1)`` as they come."""
     if n == 0:
-        return (Graph(0),)
-    out: list[Graph] = []
+        yield Graph(0)
+        return
     newbit = 1 << (n - 1)
     for parent in _catalog(n - 1):
         padj = parent.adj
@@ -453,5 +448,4 @@ def _catalog(n: int) -> tuple[Graph, ...]:
             form = _last_vertex_form(adj)
             if form is not None and form not in forms:
                 forms.add(form)
-                out.append(Graph._from_adj(n, adj))
-    return tuple(out)
+                yield Graph._from_adj(n, adj)

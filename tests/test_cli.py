@@ -341,6 +341,13 @@ def test_represent_check(tmp_path, capsys):
     assert code == 2
 
 
+def test_represent_check_rejects_a_bad_word_before_any_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run(capsys, "represent", "--check", "01a")
+    assert code == 1 and out == ""
+    assert err == "cannot parse word '01a'\n"
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["census"]) == 1
     assert main(["bogus"]) == 1

@@ -5,7 +5,11 @@ the bucketed isomorphism-test enumeration it replaced)."""
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -26,6 +30,8 @@ from wordrep.graphs import (
     write_graph6,
 )
 from conftest import EXHAUSTIVE, random_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # --------------------------------------------------------------------------
 # Reference graph6 codec, written straight off the published format
@@ -296,6 +302,30 @@ def test_enumerate_guard():
         next(enumerate_graphs(-1))
 
 
+def test_enumerate_is_repeatable():
+    assert list(enumerate_graphs(7)) == list(enumerate_graphs(7))
+
+
+# A fresh interpreter, so that no earlier test has filled a store; the
+# catalogue of the 1044 classes on seven vertices and the orders below
+# takes about 190 KB.
+KEPT_AFTER_ENUMERATION = """
+import gc, tracemalloc
+from wordrep.graphs import enumerate_graphs
+tracemalloc.start()
+for _ in enumerate_graphs(7):
+    pass
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_enumeration_keeps_nothing_once_consumed():
+    done = subprocess.run([sys.executable, "-c", KEPT_AFTER_ENUMERATION], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert int(done.stdout) < 50_000
+
+
 def test_enumerate_no_isomorphic_duplicates_small():
     for n in range(6):
         cat = list(enumerate_graphs(n))
@@ -347,7 +377,7 @@ def test_catalog_matches_bucket_oracle():
     # order, so each oracle class must be isomorphic to exactly one
     # catalogue graph; n = 8 takes the oracle minutes
     for n in range(9 if EXHAUSTIVE else 8):
-        catalog, oracle = _catalog(n), _catalog_by_buckets(n)
+        catalog, oracle = tuple(_catalog(n)), _catalog_by_buckets(n)
         assert len(catalog) == len(oracle)
         buckets: dict[tuple, list[Graph]] = {}
         for g in catalog:
