@@ -91,7 +91,7 @@ def split_oracle_corpus() -> list[str]:
     """graph6 lines of the ``split_oracle`` workload; the filter reads the
     split partition, reduction and G-decomposition of this tree."""
     from wordrep.graphs import Graph, write_graph6
-    from wordrep.orient import has_transitive_orientation
+    from wordrep.orient import find_transitive_orientation
     from wordrep.split import _reduce_with_map, split_partition
 
     lines = []
@@ -109,7 +109,7 @@ def split_oracle_corpus() -> list[str]:
                 g = Graph(n, edges)
                 rsp, _ = _reduce_with_map(split_partition(g))
                 reduced = rsp.graph
-                if (rsp.m >= 5 and not has_transitive_orientation(reduced)
+                if (rsp.m >= 5 and find_transitive_orientation(reduced) is None
                         and any(reduced.degree(v) > 2 for v in rsp.independent)):
                     lines.append(write_graph6(g))
                     kept += 1

@@ -29,8 +29,6 @@ from .orient import (
     find_semi_transitive_orientation,
     forcing_chain,
     find_transitive_orientation,
-    has_transitive_orientation,
-    is_acyclic,
     is_forcing_chain,
     is_semi_transitive,
     is_transitive,
@@ -51,7 +49,6 @@ from .split import (
     clique_path,
     is_split,
     is_split_comparability,
-    reduce_split,
     split_partition,
     toggle_ab,
 )

@@ -25,6 +25,7 @@ from . import families
 from .classify import classify_graph as _verdict_for
 from .graphs import (
     ENUMERATION_GUARD,
+    GRAPH6_MAX_N,
     Graph,
     Graph6Error,
     enumerate_graphs,
@@ -115,8 +116,7 @@ def cmd_census(args) -> int:
         return 1
     start = time.perf_counter()
     counts: dict[str, int] = {}
-    total = 0
-    non_rep: list[tuple[str, bool, bool]] = []
+    total = non_rep = connected_non_rep = 0
     for g in enumerate_graphs(n, allow_large=allow_large):
         connected = is_connected(g)
         if args.filter == "connected" and not connected:
@@ -129,19 +129,20 @@ def cmd_census(args) -> int:
         key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
         counts[key] = counts.get(key, 0) + 1
         if not verdict.representable:
-            non_rep.append((write_graph6(g), sp is not None, connected))
+            non_rep += 1
+            connected_non_rep += connected
+            g6, split = write_graph6(g), sp is not None
+            if args.json:
+                print(json.dumps({"graph6": g6, "split": split, "connected": connected}))
+            else:
+                print(f"{g6}\tnon-representable" + ("\tsplit" if split else ""))
     elapsed = time.perf_counter() - start
-    for g6, is_split_graph, connected in non_rep:
-        if args.json:
-            print(json.dumps({"graph6": g6, "split": is_split_graph, "connected": connected}))
-        else:
-            print(f"{g6}\tnon-representable" + ("\tsplit" if is_split_graph else ""))
     summary = {
         "n": n,
         "filter": args.filter,
         "classes": total,
-        "non_representable": len(non_rep),
-        "connected_non_representable": sum(1 for _, _, c in non_rep if c),
+        "non_representable": non_rep,
+        "connected_non_representable": connected_non_rep,
         "counts": dict(sorted(counts.items())),
         "seconds": round(elapsed, 3),
     }
@@ -150,15 +151,15 @@ def cmd_census(args) -> int:
     else:
         print(
             f"# n={n} filter={args.filter} classes={total} "
-            f"non-representable={len(non_rep)} "
-            f"(connected: {summary['connected_non_representable']}) "
+            f"non-representable={non_rep} "
+            f"(connected: {connected_non_rep}) "
             f"seconds={summary['seconds']}"
         )
         for key, cnt in summary["counts"].items():
             print(f"#   {key}: {cnt}")
-    if args.expected is not None and args.expected != len(non_rep):
+    if args.expected is not None and args.expected != non_rep:
         print(
-            f"expected {args.expected} non-representable graphs, found {len(non_rep)}",
+            f"expected {args.expected} non-representable graphs, found {non_rep}",
             file=sys.stderr,
         )
         return 2
@@ -171,6 +172,10 @@ def cmd_census(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
+        # no family has fewer vertices than a parameter: fail before building
+        big = max(args.params, default=0)
+        if big > GRAPH6_MAX_N:
+            raise ValueError(f"graph6 short form supports n <= {GRAPH6_MAX_N}, got n >= {big}")
         g = families.named(args.tag, *args.params)
         print(write_graph6(g))  # raises beyond the graph6 short form
         if args.word:

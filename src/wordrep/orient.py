@@ -1,7 +1,7 @@
-"""Directed machinery over undirected base graphs: acyclicity,
-transitivity, shortcut detection, semi-transitivity, the search for
-semi-transitive orientations that decides word-representability, and
-the search for transitive orientations.
+"""Directed machinery over undirected base graphs: transitivity,
+shortcut detection, semi-transitivity, the search for semi-transitive
+orientations that decides word-representability, and the search for
+transitive orientations.
 
 An orientation is semi-transitive when it is acyclic and shortcut-free.
 A shortcut is an induced subdigraph on at least four vertices that is
@@ -15,14 +15,17 @@ The shortcut decision reads reachability and base adjacency alone, on
 full orientations and the search's partial ones: an ancestor a of u
 adjacent to a descendant b of a base non-neighbour v of u is a
 shortcut even while {a, b} is undirected, since every acyclic
-completion directs it a->b.  One engine, ``semi_transitive_orientations``,
-finds, counts and lists orientations by a depth-first search over edge
-directions whose state is the reachability closure alone, run as a
-loop over an explicit stack.  Reversing every arc keeps an orientation
-semi-transitive, so with no arc fixed it tries one direction of its
-first edge and yields each orientation with its reverse.  Its test
-oracles are the brute force ``all_orientations`` and a path-enumerating
-shortcut finder.  Transitive orientations come from Golumbic's
+completion directs it a->b.  ``_add_arc`` closes reachability arc by
+arc, for ``is_semi_transitive`` and for the one engine,
+``semi_transitive_orientations``, which finds, counts and lists
+orientations by a depth-first search over edge directions whose state
+is the reachability closure alone, run as a loop over an explicit
+stack.  Reversing every arc keeps an orientation semi-transitive, so
+with no arc fixed it tries one direction of its first edge and yields
+each orientation with its reverse.  Its test oracles are the brute
+force ``all_orientations`` and the acyclicity test and path-enumerating
+shortcut finder of ``tests/shortcut_witness.py``, which keep their own
+reachability.  Transitive orientations come from Golumbic's
 G-decomposition; a graph without one has a ``forcing_chain``."""
 
 from __future__ import annotations
@@ -160,28 +163,7 @@ def to_dot(og: OrientedGraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Basic digraph predicates.
-
-
-def _topological_order(out: Sequence[int], n: int) -> list[int] | None:
-    indeg = [0] * n
-    for u in range(n):
-        for v in _bits(out[u]):
-            indeg[v] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in _bits(out[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return order if len(order) == n else None
-
-
-def is_acyclic(og: OrientedGraph) -> bool:
-    return _topological_order(og.out, og.n) is not None
+# Transitivity and the shortcut decision.
 
 
 def is_transitive(og: OrientedGraph) -> bool:
@@ -193,20 +175,6 @@ def is_transitive(og: OrientedGraph) -> bool:
         if succ & ~og.out[u]:
             return False
     return True
-
-
-def _descendants(out: Sequence[int], n: int) -> list[int] | None:
-    """reach[v] = vertices reachable from v, v included; None on a cycle."""
-    order = _topological_order(out, n)
-    if order is None:
-        return None
-    reach = [0] * n
-    for v in reversed(order):
-        r = 1 << v
-        for w in _bits(out[v]):
-            r |= reach[w]
-        reach[v] = r
-    return reach
 
 
 def _has_shortcut(adj: Sequence[int], reach: Sequence[int], anc: Sequence[int]) -> bool:
@@ -239,20 +207,11 @@ def _has_shortcut(adj: Sequence[int], reach: Sequence[int], anc: Sequence[int]) 
     return False
 
 
-def is_semi_transitive(og: OrientedGraph) -> bool:
-    """Acyclic and shortcut-free."""
-    n = og.n
-    reach = _descendants(og.out, n)
-    if reach is None:
-        return False
-    anc = [sum(1 << u for u, r in enumerate(reach) if r >> v & 1) for v in range(n)]
-    return not _has_shortcut(og.base.adj, reach, anc)
-
-
 # ---------------------------------------------------------------------------
-# The decision procedure: depth-first search over edge directions with
-# cycle and shortcut pruning on every assignment, run as a loop over an
-# explicit stack.  A stack entry is one arc still to be placed: its
+# The reachability closure, semi-transitivity, and the decision
+# procedure: depth-first search over edge directions with cycle and
+# shortcut pruning on every assignment, run as a loop over an explicit
+# stack.  A stack entry is one arc still to be placed: its
 # level, its direction and its parent's reach/anc lists, which are
 # copied when the entry is popped and never mutated, so siblings share
 # them and nothing is undone.
@@ -274,6 +233,23 @@ def _add_arc(reach: list[int], anc: list[int], a: int, b: int) -> bool:
     for w in _bits(rb):
         anc[w] |= ab
     return True
+
+
+def _closure(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]] | None:
+    """``reach``/``anc`` of the digraph with these arcs on n vertices,
+    each vertex in its own closures; None on a cycle."""
+    reach = [1 << v for v in range(n)]
+    anc = reach[:]
+    for a, b in arcs:
+        if not _add_arc(reach, anc, a, b):
+            return None
+    return reach, anc
+
+
+def is_semi_transitive(og: OrientedGraph) -> bool:
+    """Acyclic and shortcut-free."""
+    closure = _closure(og.n, og.arcs())
+    return closure is not None and not _has_shortcut(og.base.adj, *closure)
 
 
 def semi_transitive_orientations(
@@ -298,11 +274,12 @@ def semi_transitive_orientations(
             raise ValueError(f"edge {{{a},{b}}} fixed more than once")
         fixed_mask[a] |= 1 << b
         fixed_mask[b] |= 1 << a
-    reach = [1 << v for v in range(n)]
-    anc = [1 << v for v in range(n)]
-    for a, b in fixed:
-        if not _add_arc(reach, anc, a, b) or _has_shortcut(g.adj, reach, anc):
-            return
+    # one shortcut test after the last fixed arc: a hit on a partial
+    # orientation survives every arc added later (``_has_shortcut``)
+    closure = _closure(n, fixed)
+    if closure is None or _has_shortcut(g.adj, *closure):
+        return
+    reach, anc = closure
 
     free = [(u, v) for u, v in g.edges() if not fixed_mask[u] >> v & 1]
     # most-constrained first: descending endpoint-degree sum, then lex
@@ -406,10 +383,6 @@ def find_transitive_orientation(g: Graph) -> OrientedGraph | None:
     og = OrientedGraph._from_out(g, tuple(out))
     assert is_transitive(og)
     return og
-
-
-def has_transitive_orientation(g: Graph) -> bool:
-    return find_transitive_orientation(g) is not None
 
 
 def forcing_chain(g: Graph) -> list[tuple[int, int]] | None:

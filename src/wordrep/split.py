@@ -6,7 +6,9 @@ and the partition come from the degree sequence alone (Hammer and
 Simeone); the forbidden-subgraph characterisation is the test suite's
 oracle for it.  Whether a split graph is a comparability graph is
 decided by the G-decomposition in ``orient``; the scan for the
-forbidden induced subgraphs B1-B3 is the tests' oracle for that.
+forbidden induced subgraphs B1-B3 is the tests' oracle for that.  The
+reduction moves that keep word-representability (``_reduce_with_map``)
+are internal: ``classify`` decides a split graph on its reduced form.
 Under any semi-transitive orientation the clique is
 oriented transitively, fixing a Hamiltonian directed path through it,
 and every independent vertex falls into one of three patterns relative
@@ -37,7 +39,7 @@ from .graphs import Graph, _bits
 from .orient import (
     OracleDisagreement,
     OrientedGraph,
-    has_transitive_orientation,
+    find_transitive_orientation,
     is_semi_transitive,
 )
 
@@ -123,23 +125,16 @@ def _reduce_with_map(sp: SplitPartition) -> tuple[SplitPartition, tuple[int, ...
         del labels[drop]
 
 
-def reduce_split(sp: SplitPartition) -> SplitPartition:
-    """Remove independent vertices of degree <= 1 and duplicate-
-    neighbourhood vertices (keeping the lower-labelled twin) until no
-    move applies.  Word-representability of input and output agree."""
-    return _reduce_with_map(sp)[0]
-
-
 def is_split_comparability(g: Graph) -> bool:
     """Does the split graph g admit a transitive orientation?
 
-    Decided by the G-decomposition (``has_transitive_orientation``);
+    Decided by the G-decomposition (``find_transitive_orientation``);
     the tests check it against the scan for the forbidden induced
     subgraphs B1-B3.  Raises ValueError when g is not split.
     """
     if not is_split(g):
         raise ValueError("input graph is not split")
-    return has_transitive_orientation(g)
+    return find_transitive_orientation(g) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""The path-enumerating shortcut witness finder: the tests' independent
-oracle for the reachability-based shortcut decision in
-``wordrep.orient``.  ``find_shortcut`` walks directed paths below each
-arc and returns the first shortcut it meets as a ``ShortcutWitness``,
-which ``ShortcutWitness.is_valid`` re-checks arc by arc."""
+"""The tests' independent oracle for semi-transitivity:
+``is_acyclic(og) and find_shortcut(og) is None``.  It shares no code
+with the reachability closure of ``wordrep.orient``: acyclicity and
+reachability come from a topological order (``_topological_order``,
+``_descendants``), and ``find_shortcut`` walks directed paths below
+each arc and returns the first shortcut it meets as a
+``ShortcutWitness``, which ``ShortcutWitness.is_valid`` re-checks arc
+by arc."""
 
 from __future__ import annotations
 
@@ -10,7 +13,42 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from wordrep.graphs import _bits
-from wordrep.orient import OrientedGraph, _descendants
+from wordrep.orient import OrientedGraph
+
+
+def _topological_order(out: Sequence[int], n: int) -> list[int] | None:
+    indeg = [0] * n
+    for u in range(n):
+        for v in _bits(out[u]):
+            indeg[v] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for w in _bits(out[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return order if len(order) == n else None
+
+
+def is_acyclic(og: OrientedGraph) -> bool:
+    return _topological_order(og.out, og.n) is not None
+
+
+def _descendants(out: Sequence[int], n: int) -> list[int] | None:
+    """reach[v] = vertices reachable from v, v included; None on a cycle."""
+    order = _topological_order(out, n)
+    if order is None:
+        return None
+    reach = [0] * n
+    for v in reversed(order):
+        r = 1 << v
+        for w in _bits(out[v]):
+            r |= reach[w]
+        reach[v] = r
+    return reach
 
 
 class ShortcutWitness(namedtuple("ShortcutWitness", "path shortcutting_edge missing_pair")):

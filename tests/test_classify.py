@@ -42,7 +42,7 @@ from wordrep.orient import (
     is_transitive,
     orientation_bits,
 )
-from wordrep.split import reduce_split, split_partition
+from wordrep.split import _reduce_with_map, split_partition
 from conftest import EXHAUSTIVE, random_split_graph
 
 
@@ -332,7 +332,7 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
     # a comparability graph that reduction leaves whole: the transitive
     # orientation is the witness, and verify alone searches g
     k4 = families.complete(4)
-    assert reduce_split(split_partition(k4)).graph == k4
+    assert _reduce_with_map(split_partition(k4))[0].graph == k4
     calls.clear()
     v = classify_split(k4, want_witness=True)
     assert v.reason == REASON_COMPARABILITY and calls == []
@@ -395,7 +395,7 @@ def test_pipeline_agrees_with_the_engine_and_every_certificate_checks():
                 assert is_semi_transitive(v.witness_orientation)
                 # the transitive orientation is the witness whenever
                 # reduction removed nothing
-                whole = sp is None or reduce_split(sp).graph.n == g.n
+                whole = sp is None or _reduce_with_map(sp)[0].graph.n == g.n
                 if whole and v.reason == REASON_COMPARABILITY:
                     assert is_transitive(v.witness_orientation)
     assert {REASON_COMPARABILITY, REASON_NEIGHBOURHOOD, REASON_ORACLE} <= reasons

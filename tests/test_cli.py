@@ -19,11 +19,11 @@ from wordrep.words import parse_word, represents
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*argv):
+def run_module(*argv, preexec_fn=None):
     """Run ``python -m wordrep.cli`` in a fresh interpreter on this tree."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run([sys.executable, "-m", "wordrep.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
 def run(capsys, *argv):
@@ -187,6 +187,19 @@ def test_generate_errors(capsys):
     code, out, err = run(capsys, "generate", "K", "63")  # beyond graph6 short form
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "n <= 62" in err
+
+
+def test_generate_rejects_a_large_parameter_before_building_the_graph():
+    # K_100000 needs about 1.25 GB of adjacency; under a 256 MB
+    # address-space cap, building it would die with a MemoryError
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = run_module("generate", "K", "100000", preexec_fn=cap)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "n <= 62" in proc.stderr
 
 
 def test_orient_default_and_none(tmp_path, capsys):

@@ -16,8 +16,6 @@ from wordrep.orient import (
     find_semi_transitive_orientation,
     find_transitive_orientation,
     forcing_chain,
-    has_transitive_orientation,
-    is_acyclic,
     is_forcing_chain,
     is_semi_transitive,
     is_transitive,
@@ -28,12 +26,17 @@ from wordrep.orient import (
     to_dot,
 )
 from conftest import EXHAUSTIVE, random_graph
-from shortcut_witness import ShortcutWitness, find_shortcut
+from shortcut_witness import ShortcutWitness, find_shortcut, is_acyclic
 
 
 def cocktail_party(k: int) -> Graph:
     n = 2 * k
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u + k])
+
+
+def semi_transitive_by_oracle(og: OrientedGraph) -> bool:
+    """Semi-transitivity decided without the engine's closure routine."""
+    return is_acyclic(og) and find_shortcut(og) is None
 
 
 def test_oriented_graph_validation():
@@ -271,7 +274,7 @@ def test_count_matches_backtracking_engine(rng):
     graphs = [random_graph(rng, rng.randint(1, 6), 0.5) for _ in range(60)]
     graphs += [g for n in range(6) for g in enumerate_graphs(n)]
     for g in graphs:
-        brute = [og for og in all_orientations(g) if is_semi_transitive(og)]
+        brute = [og for og in all_orientations(g) if semi_transitive_by_oracle(og)]
         for fixed in [[]] + [[arc] for u, v in g.edges() for arc in ((u, v), (v, u))]:
             engine = list(semi_transitive_orientations(g, fixed))
             want = [og for og in brute if all(og.has_arc(a, b) for a, b in fixed)]
@@ -340,9 +343,24 @@ def test_engine_with_fixed_arcs_matches_brute_force(rng):
         fixed = [e if rng.random() < 0.5 else e[::-1]
                  for e in rng.sample(edges, rng.randint(0, min(3, len(edges))))]
         brute = [og for og in all_orientations(g)
-                 if is_semi_transitive(og) and all(og.has_arc(a, b) for a, b in fixed)]
+                 if semi_transitive_by_oracle(og) and all(og.has_arc(a, b) for a, b in fixed)]
         assert count_semi_transitive_extensions(g, fixed) == len(brute)
         assert set(semi_transitive_orientations(g, fixed)) == set(brute)
+
+
+def test_engine_rejects_fixed_arcs_closed_by_the_last_one():
+    # the fixed arcs are closed before one shortcut test; here only the
+    # last fixed arc closes a cycle (the triangle) or a shortcut (C4:
+    # 0->1->2->3 below 0->3, with 1->2 last, since 0->1->2->3 alone
+    # already forces the shortcut)
+    cases = (
+        (families.complete(3), [(0, 1), (1, 2), (2, 0)]),
+        (families.cycle(4), [(0, 3), (0, 1), (2, 3), (1, 2)]),
+    )
+    for g, fixed in cases:
+        assert count_semi_transitive_extensions(g, fixed[:-1]) > 0
+        assert count_semi_transitive_extensions(g, fixed) == 0
+        assert next(semi_transitive_orientations(g, fixed), None) is None
 
 
 def test_engine_rejects_out_of_range_fixed_arcs():
@@ -370,7 +388,7 @@ def test_search_self_validates(rng):
         if og is not None:
             assert is_semi_transitive(og)
         else:
-            assert all(not is_semi_transitive(o) for o in all_orientations(g))
+            assert all(not semi_transitive_by_oracle(o) for o in all_orientations(g))
 
 
 def test_search_result_is_deterministic():
@@ -417,18 +435,18 @@ def test_representable_neighbourhoods_are_comparability():
             if not is_word_representable(g):
                 continue
             for v in range(g.n):
-                assert has_transitive_orientation(
+                assert find_transitive_orientation(
                     induced_subgraph(g, g.neighbors(v))
-                )
+                ) is not None
 
 
 def test_has_transitive_orientation_known_cases():
-    assert has_transitive_orientation(families.complete(5))
-    assert has_transitive_orientation(families.cycle(4))
-    assert not has_transitive_orientation(families.cycle(5))
-    assert not has_transitive_orientation(families.named("B1"))
-    assert not has_transitive_orientation(families.named("B2"))
-    assert not has_transitive_orientation(families.named("B3"))
+    assert find_transitive_orientation(families.complete(5)) is not None
+    assert find_transitive_orientation(families.cycle(4)) is not None
+    assert find_transitive_orientation(families.cycle(5)) is None
+    assert find_transitive_orientation(families.named("B1")) is None
+    assert find_transitive_orientation(families.named("B2")) is None
+    assert find_transitive_orientation(families.named("B3")) is None
 
 
 def test_transitive_orientation_matches_brute_force_up_to_5():
@@ -462,7 +480,7 @@ def test_forcing_chains_certify_every_non_comparability_graph_up_to_6():
     for n in range(7):
         for h in enumerate_graphs(n):
             chain = forcing_chain(h)
-            assert (chain is None) == has_transitive_orientation(h)
+            assert (chain is None) == (find_transitive_orientation(h) is not None)
             if chain is None:
                 continue
             cone = Graph(n + 1, h.edges() + [(w, n) for w in range(n)])

@@ -22,6 +22,7 @@ from wordrep.split import (
     KIND_B,
     KIND_C,
     KIND_INVALID,
+    _reduce_with_map,
     SplitPartition,
     VertexTypeReport,
     check_main_orientation,
@@ -31,7 +32,6 @@ from wordrep.split import (
     clique_path,
     is_split,
     is_split_comparability,
-    reduce_split,
     split_partition,
     toggle_ab,
 )
@@ -192,21 +192,21 @@ def test_reduce_examples():
     t1 = families.named("T1")
     apex = next(v for v in range(7) if t1.degree(v) == 3)
     pendant = Graph(8, t1.edges() + [(apex, 7)])
-    assert reduce_split(split_partition(pendant)).graph == t1
+    assert _reduce_with_map(split_partition(pendant))[0].graph == t1
     isolated = Graph(8, t1.edges())
-    assert reduce_split(split_partition(isolated)).graph == t1
+    assert _reduce_with_map(split_partition(isolated))[0].graph == t1
     # two independent vertices sharing a neighbourhood: one goes
     twin = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (2, 5)])
-    reduced = reduce_split(split_partition(twin)).graph
+    reduced = _reduce_with_map(split_partition(twin))[0].graph
     assert reduced.n < twin.n
     # K4 has no open twins and must survive unchanged
-    assert reduce_split(split_partition(families.complete(4))).graph == families.complete(4)
+    assert _reduce_with_map(split_partition(families.complete(4)))[0].graph == families.complete(4)
 
 
 def test_reduce_preserves_representability():
     nmax = 7 if EXHAUSTIVE else 6
     for g, sp in split_graphs_up_to(nmax):
-        reduced = reduce_split(sp)
+        reduced = _reduce_with_map(sp)[0]
         assert is_word_representable(g) == is_word_representable(reduced.graph)
 
 
