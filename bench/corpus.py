@@ -32,12 +32,11 @@ Two numbers per workload, each the minimum over five runs:
   the graphs; ``classify_s`` is their sum.  The minimum is taken per
   route.
 
-Run it once per source tree under its own label.  It writes
-``BENCH_corpus.json`` at the root of the repository and keeps the rows
-of other labels already there:
+Both trees, the parent's and the change's, are measured in one
+invocation; their ``cli_s`` runs take turns.  It writes
+``BENCH_corpus.json`` at the root of the repository:
 
-    python3 bench/corpus.py --label change
-    python3 bench/corpus.py --label parent --src ../parent/src
+    python3 bench/corpus.py --parent ../parent/src
 """
 
 from __future__ import annotations
@@ -140,25 +139,29 @@ def cli_seconds(env: dict, lines: list[str] | None, witness: bool) -> float:
     return time.perf_counter() - start
 
 
-def measure(src: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPATH"] = str(src)
-    rows = {}
+def measure(trees: dict[str, Path]) -> dict[str, dict]:
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    envs = {label: dict(base, PYTHONPATH=str(src)) for label, src in trees.items()}
+    rows: dict[str, dict] = {label: {} for label in trees}
     for name, (lines, witness) in workloads().items():
         source = "census" if lines is None else "stdin"
         stdin = "" if lines is None else "\n".join(lines) + "\n"
-        done = subprocess.run([sys.executable, "-S", "-c", ROUTES, str(RUNS), str(int(witness)),
-                               source], input=stdin, text=True, env=env, check=True,
-                              capture_output=True)
-        routes = json.loads(done.stdout)
-        walls = [cli_seconds(env, lines, witness) for _ in range(RUNS)]
-        rows[name] = {
-            "graphs": sum(r["count"] for r in routes.values()),
-            "cli_s": round(min(walls), 3),
-            "classify_s": round(sum(r["seconds"] for r in routes.values()), 3),
-            "routes": dict(sorted(routes.items())),
-        }
-        print(name, json.dumps(rows[name]), flush=True)
+        walls: dict[str, list[float]] = {label: [] for label in trees}
+        for _ in range(RUNS):
+            for label, env in envs.items():
+                walls[label].append(cli_seconds(env, lines, witness))
+        for label, env in envs.items():
+            done = subprocess.run([sys.executable, "-S", "-c", ROUTES, str(RUNS),
+                                   str(int(witness)), source], input=stdin, text=True, env=env,
+                                  check=True, capture_output=True)
+            routes = json.loads(done.stdout)
+            rows[label][name] = {
+                "graphs": sum(r["count"] for r in routes.values()),
+                "cli_s": round(min(walls[label]), 3),
+                "classify_s": round(sum(r["seconds"] for r in routes.values()), 3),
+                "routes": dict(sorted(routes.items())),
+            }
+            print(label, name, json.dumps(rows[label][name]), flush=True)
     return rows
 
 

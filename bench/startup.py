@@ -16,12 +16,11 @@ temporary prefix that one untimed run of the call fills first, so every
 module is read from bytecode.  Neither state writes under ``src/``.
 Rows are ``<call>_<state>_min_ms`` and ``<call>_<state>_median_ms``.
 
-Run it once per source tree under its own label.  It writes
-``BENCH_startup.json`` at the root of the repository and keeps the rows
-of other labels already there:
+Both trees, the parent's and the change's, are measured in one
+invocation, taking turns within each round.  It writes
+``BENCH_startup.json`` at the root of the repository:
 
-    python3 bench/startup.py --label change
-    python3 bench/startup.py --label parent --src ../parent/src
+    python3 bench/startup.py --parent ../parent/src
 """
 
 from __future__ import annotations
@@ -61,24 +60,28 @@ def call_ms(args: list[str], stdin: str, env: dict, write_cache: bool = False) -
     return (time.perf_counter() - start) * 1000
 
 
-def measure(src: Path) -> dict[str, float]:
+def measure(trees: dict[str, Path]) -> dict[str, dict]:
     base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    base["PYTHONPATH"] = str(src)
-    samples: dict[str, list[float]] = {}
-    with tempfile.TemporaryDirectory() as cold, tempfile.TemporaryDirectory() as warm:
-        envs = {"cold": dict(base, PYTHONPYCACHEPREFIX=cold),
-                "warm": dict(base, PYTHONPYCACHEPREFIX=warm)}
-        for _, args, stdin in CALLS:
-            call_ms(args, stdin, envs["warm"], write_cache=True)
-        # round robin, so that a slow spell of the machine hits every row
+    samples: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
+    with tempfile.TemporaryDirectory() as cache:
+        # one cold and one warm prefix per tree, so that no tree reads the other's bytecode
+        envs = {(label, state): dict(base, PYTHONPATH=str(src),
+                                     PYTHONPYCACHEPREFIX=f"{cache}/{label}_{state}")
+                for label, src in trees.items() for state in ("cold", "warm")}
+        for label in trees:
+            for _, args, stdin in CALLS:
+                call_ms(args, stdin, envs[label, "warm"], write_cache=True)
+        # round robin, so that a slow spell of the machine hits every row of both trees
         for _ in range(RUNS):
             for name, args, stdin in CALLS:
-                for state, env in envs.items():
-                    samples.setdefault(f"{name}_{state}", []).append(call_ms(args, stdin, env))
-    rows = {}
-    for key, values in samples.items():
-        rows[f"{key}_min_ms"] = round(min(values), 1)
-        rows[f"{key}_median_ms"] = round(statistics.median(values), 1)
+                for (label, state), env in envs.items():
+                    samples[label].setdefault(f"{name}_{state}", []).append(
+                        call_ms(args, stdin, env))
+    rows: dict[str, dict] = {label: {} for label in trees}
+    for label, by_key in samples.items():
+        for key, values in by_key.items():
+            rows[label][f"{key}_min_ms"] = round(min(values), 1)
+            rows[label][f"{key}_median_ms"] = round(statistics.median(values), 1)
     return rows
 
 

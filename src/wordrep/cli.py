@@ -117,13 +117,13 @@ def cmd_census(args) -> int:
     start = time.perf_counter()
     counts: dict[str, int] = {}
     total = non_rep = connected_non_rep = 0
-    for g in enumerate_graphs(n, allow_large=allow_large):
+    # split graphs are closed under vertex deletion: grow them from split parents
+    hereditary = (lambda g: split_partition(g) is not None) if args.filter == "split" else None
+    for g in enumerate_graphs(n, allow_large=allow_large, hereditary=hereditary):
         connected = is_connected(g)
         if args.filter == "connected" and not connected:
             continue
         sp = split_partition(g)
-        if args.filter == "split" and sp is None:
-            continue
         total += 1
         verdict = _verdict_for(g, sp)
         key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"

@@ -1,20 +1,21 @@
 """Small simple graphs: bitmask adjacency, graph6 text I/O, induced
-subgraphs, isomorphism testing, canonical forms, and exhaustive
-enumeration of isomorphism classes.
+subgraphs, isomorphism testing, canonical forms with automorphism
+generators, and exhaustive enumeration of isomorphism classes.
 
 Vertices are always the integers 0..n-1.  A graph stores one adjacency
 bitmask per vertex, which keeps the search loops elsewhere in this
 package (orientation backtracking, censuses over all graphs of a given
 order) fast enough in pure Python.  Graphs are immutable value objects,
 every function returns fresh values, and the module keeps no state.
-Enumeration streams each class as it is accepted, so it holds one
-chain of parents, not a catalogue.
+Enumeration tries one mask per orbit of a parent's automorphisms and
+streams each class as it is accepted, so it holds one chain of parents
+and neither a catalogue nor a set of forms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 GRAPH6_MAX_N = 62     # short-form graph6 only
 ENUMERATION_GUARD = 8  # enumerate_graphs refuses larger n unless overridden
@@ -347,8 +348,9 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return _match(h, g, order, [by_color[gc[v]] for v in order]) is not None
 
 
-def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) -> tuple[int, ...]:
-    """A complete invariant: equal forms iff isomorphic graphs.
+def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) -> tuple:
+    """A complete invariant, equal forms iff isomorphic graphs, and maps
+    p (v to p[v]) that generate the automorphisms keeping ``colors``.
 
     Individualisation-refinement (McKay-Piperno, *Practical graph
     isomorphism II*, 2014): refine ``colors`` (degrees by default);
@@ -356,13 +358,14 @@ def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) ->
     first such colour, giving it a colour just above its old one, and
     refine again.  The form is the largest adjacency read under a leaf's
     colours 0..n-1.  Every step sees the colours alone, so relabelling
-    the graph permutes the leaves.  Of twins only the first is branched
-    on: swapping two twins is an automorphism, so their branches hold
-    the same leaves.  Colouring one vertex above all degrees gives a
-    rooted form, equal for two vertices iff an automorphism maps one to
-    the other."""
+    the graph permutes the leaves.  A leaf that reads the best adjacency
+    again maps each vertex to the best leaf's vertex of its colour.  Of
+    twins only the first is branched on; their swap maps its branch onto
+    each pruned one.  These maps generate the group.  Colouring one
+    vertex above all degrees gives a rooted form, equal for two vertices
+    iff an automorphism maps one to the other."""
     nbrs = [_bits(m) for m in adj]
-    best: tuple[int, ...] = ()
+    best, first, gens = (), [], []  # first[c]: the best leaf's vertex of colour c
     stack = [_refine(nbrs, [len(nb) for nb in nbrs] if colors is None else colors)]
     while stack:
         colors = stack.pop()
@@ -370,27 +373,39 @@ def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) ->
             rows = [0] * n
             for v, nb in enumerate(nbrs):
                 rows[colors[v]] = sum(1 << colors[w] for w in nb)
-            best = max(best, tuple(rows))
+            if tuple(rows) == best:
+                gens.append([first[c] for c in colors])
+            elif tuple(rows) > best:
+                best, first = tuple(rows), sorted(range(n), key=colors.__getitem__)
             continue
         target = min(c for c in colors if colors.count(c) > 1)
         kept: list[int] = []
-        for v, c in enumerate(colors):
-            if c == target and not any(_twins(adj, u, v) for u in kept):
+        for v in [v for v, c in enumerate(colors) if c == target]:
+            u = next((u for u in kept if _twins(adj, u, v)), None)
+            if u is None:
                 kept.append(v)
                 stack.append(_refine(nbrs, [2 * d + (w == v) for w, d in enumerate(colors)]))
-    return best
+            else:
+                gens.append([v if w == u else u if w == v else w for w in range(n)])
+    return best, gens
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of isomorphism classes by canonical augmentation
-# (McKay, *Isomorph-free exhaustive generation*, J. Algorithms 1998).
+# (McKay, *Isomorph-free exhaustive generation*, J. Algorithms 1998) keeps a
+# child when its mask is the least of its orbit under Aut(parent) and its new
+# vertex is in its canonical orbit.  Twin swaps are among the generators of
+# Aut(parent), so neither a set of rooted forms nor a list of twins is kept.
 # Class counts for n = 0..8: 1, 1, 2, 4, 11, 34, 156, 1044, 12346.
 
 
-def enumerate_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
+def enumerate_graphs(n: int, *, allow_large: bool = False,
+                     hereditary: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of simple graphs
     on n vertices, in a deterministic order.  Each call enumerates
     afresh and lazily: a class is yielded as soon as it is accepted.
+    With ``hereditary``, an invariant closed under vertex deletion (being
+    split, say), it yields just the classes that this accepts, unchanged.
 
     Guarded at n <= 8; pass allow_large=True to go beyond (the run time
     grows steeply).
@@ -402,50 +417,60 @@ def enumerate_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
             f"enumerate_graphs(n={n}) exceeds the guard ({ENUMERATION_GUARD}); "
             "pass allow_large=True to override"
         )
-    yield from _catalog(n)
+    yield from _catalog(n, hereditary)
 
 
-def _last_vertex_form(adj: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The form rooted at the last vertex v when v lies in the canonical
-    orbit, else None.  Label-free keys pick that orbit, cheapest first:
-    greatest degree, greatest sorted neighbour degrees, greatest rooted
-    form.  Each key is an invariant, so the pick is an orbit of
-    automorphisms; v's twins share v's orbit and need no form."""
+def _last_vertex_canonical(adj: tuple[int, ...]) -> bool:
+    """Whether the last vertex v lies in the canonical orbit.  Label-free
+    keys pick that orbit, cheapest first: greatest degree, greatest
+    sorted neighbour degrees, greatest rooted form.  Each key is an
+    invariant, so the pick is an orbit of automorphisms; v's twins share
+    v's orbit, so forms are read only when another vertex ties with v."""
     n = len(adj)
     v = n - 1
     deg = [m.bit_count() for m in adj]
     if deg[v] < max(deg):
-        return None
+        return False
     key = [sorted([deg[w] for w in _bits(m)]) if d == deg[v] else [] for m, d in zip(adj, deg)]
     if key[v] < max(key):
-        return None
-    ties = [v] + [u for u in range(v) if key[u] == key[v] and not _twins(adj, u, v)]
-    forms = [_canonical_form(n, adj, [n if w == u else d for w, d in enumerate(deg)]) for u in ties]
-    return forms[0] if forms[0] == max(forms) else None
+        return False
+    ties = [u for u in range(v) if key[u] == key[v] and not _twins(adj, u, v)]
+    forms = [_canonical_form(n, adj, [n if w == u else d for w, d in enumerate(deg)])[0]
+             for u in [v] + ties] if ties else [()]
+    return forms[0] == max(forms)
 
 
-def _catalog(n: int) -> Iterator[Graph]:
+def _catalog(n: int, hereditary: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
     """Each class of order n-1, in catalogue order, gains vertex n-1 by
-    every neighbourhood mask in increasing order.  A child is kept when
-    n-1 is in its canonical orbit, so the parent is its canonical
-    deletion, and no earlier child of that parent has its rooted form.
-    Each call enumerates afresh, yielding a child as it is kept and
-    reading the parents from a fresh ``_catalog(n - 1)`` as they come."""
+    the least mask of each orbit of its automorphisms, in increasing
+    order.  A child is kept when n-1 is in its canonical orbit, so the
+    parent is its canonical deletion, and ``hereditary``, if given,
+    accepts it.  Each call enumerates afresh, yielding a child as it is
+    kept and reading the parents from ``_catalog(n - 1, hereditary)``."""
     if n == 0:
-        yield Graph(0)
+        yield from [Graph(0)] if hereditary is None or hereditary(Graph(0)) else []
         return
     newbit = 1 << (n - 1)
-    for parent in _catalog(n - 1):
-        padj = parent.adj
-        # twins u < v of the parent: a mask holding v but not u gives a
-        # child isomorphic to the smaller mask with the two swapped
-        twins = [(1 << u, 1 << v) for v in range(n - 1) for u in range(v) if _twins(padj, u, v)]
-        forms = set()
+    for padj in (parent.adj for parent in _catalog(n - 1, hereditary)):
+        imgs = []  # img[m]: the image of mask m under one generator of Aut(parent)
+        for p in _canonical_form(n - 1, padj)[1]:
+            img = [0] * newbit
+            for m in range(1, newbit):
+                img[m] = img[m & m - 1] | 1 << p[(m & -m).bit_length() - 1]
+            imgs.append(img)
+        # with fewer bits than the parent's top degree, n-1 is not canonical, in all the orbit
+        top, seen = max([r.bit_count() for r in padj], default=0), bytearray(newbit)
         for mask in range(newbit):
-            if any(mask & bv and not mask & bu for bu, bv in twins):
+            if seen[mask] or mask.bit_count() < top:
                 continue
+            orbit = [mask]  # mask is the least of the orbit it opens
+            for m in orbit:
+                for img in imgs:
+                    if not seen[img[m]]:
+                        seen[img[m]] = 1
+                        orbit.append(img[m])
             adj = tuple(r | newbit if mask >> u & 1 else r for u, r in enumerate(padj)) + (mask,)
-            form = _last_vertex_form(adj)
-            if form is not None and form not in forms:
-                forms.add(form)
-                yield Graph._from_adj(n, adj)
+            if _last_vertex_canonical(adj):
+                child = Graph._from_adj(n, adj)
+                if hereditary is None or hereditary(child):
+                    yield child

@@ -19,8 +19,10 @@ from wordrep.graphs import (
     Embedding,
     Graph,
     Graph6Error,
+    _bits,
     _canonical_form,
     _catalog,
+    _twins,
     contains_induced,
     enumerate_graphs,
     induced_subgraph,
@@ -29,6 +31,7 @@ from wordrep.graphs import (
     parse_graph6,
     write_graph6,
 )
+from wordrep.split import split_partition
 from conftest import EXHAUSTIVE, random_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -386,14 +389,121 @@ def test_catalog_matches_bucket_oracle():
             assert sum(is_isomorphic(h, g) for g in buckets.get(iso_invariant(h), [])) == 1
 
 
+def _last_vertex_form(adj: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The form rooted at the last vertex v when v lies in the canonical
+    orbit, else None: the same keys as ``graphs._last_vertex_canonical``,
+    with every tie's rooted form read."""
+    n = len(adj)
+    v = n - 1
+    deg = [m.bit_count() for m in adj]
+    if deg[v] < max(deg):
+        return None
+    key = [sorted([deg[w] for w in _bits(m)]) if d == deg[v] else [] for m, d in zip(adj, deg)]
+    if key[v] < max(key):
+        return None
+    ties = [v] + [u for u in range(v) if key[u] == key[v] and not _twins(adj, u, v)]
+    forms = [_canonical_form(n, adj, [n if w == u else d for w, d in enumerate(deg)])[0]
+             for u in ties]
+    return forms[0] if forms[0] == max(forms) else None
+
+
+def _catalog_by_rooted_forms(n: int):
+    """Oracle enumeration, the production one before the Aut(parent)
+    orbit prune: every parent of its own order n-1 gains the new vertex
+    by every mask in increasing order, and a child is kept when the new
+    vertex is canonical and no earlier child of that parent has its
+    rooted form (twin swaps only skip masks with the same form)."""
+    if n == 0:
+        yield Graph(0)
+        return
+    newbit = 1 << (n - 1)
+    for parent in _catalog_by_rooted_forms(n - 1):
+        padj = parent.adj
+        twins = [(1 << u, 1 << v) for v in range(n - 1) for u in range(v) if _twins(padj, u, v)]
+        forms = set()
+        for mask in range(newbit):
+            if any(mask & bv and not mask & bu for bu, bv in twins):
+                continue
+            adj = tuple(r | newbit if mask >> u & 1 else r for u, r in enumerate(padj)) + (mask,)
+            form = _last_vertex_form(adj)
+            if form is not None and form not in forms:
+                forms.add(form)
+                yield Graph._from_adj(n, adj)
+
+
+def test_catalog_stream_matches_rooted_form_oracle():
+    # the least mask of each Aut(parent) orbit is the one the rooted-form
+    # set kept, so the very same graphs come in the very same order;
+    # n = 9 takes the oracle about 45 s
+    for n in range(10 if EXHAUSTIVE else 9):
+        assert list(_catalog(n)) == list(_catalog_by_rooted_forms(n)), n
+
+
+def is_split(g: Graph) -> bool:
+    return split_partition(g) is not None
+
+
+def test_hereditary_enumeration_keeps_the_filtered_stream():
+    for n in range(9):
+        grown = list(enumerate_graphs(n, hereditary=is_split))
+        assert grown == [g for g in enumerate_graphs(n) if is_split(g)], n
+    assert list(enumerate_graphs(3, hereditary=lambda g: g.n < 2)) == []
+    assert list(enumerate_graphs(0, hereditary=lambda g: False)) == []
+
+
+def orbits(size: int, maps: list[list[int]]) -> set[frozenset]:
+    """Orbits on 0..size-1 of the group that ``maps`` generate, each map
+    a list sending x to map[x], by closing each point under the maps."""
+    out: set[frozenset] = set()
+    seen: set[int] = set()
+    for x in range(size):
+        if x not in seen:
+            orbit, todo = {x}, [x]
+            while todo:
+                y = todo.pop()
+                for img in maps:
+                    if img[y] not in orbit:
+                        orbit.add(img[y])
+                        todo.append(img[y])
+            seen |= orbit
+            out.add(frozenset(orbit))
+    return out
+
+
+def on_masks(n: int, p: list[int]) -> list[int]:
+    """The vertex map p acting on the subsets of 0..n-1, as bitmasks."""
+    images = [0]
+    for u in range(n):  # the masks below 1 << u + 1 are those below 1 << u, with or without u
+        images += [m | 1 << p[u] for m in images]
+    return images
+
+
+def test_canonical_form_generators_give_the_automorphism_orbits():
+    # networkx lists the whole group by VF2, with no refinement or twins
+    rng = random.Random(45)
+    for n in range(8):
+        for h in _catalog(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = relabel(h, perm)
+            gens = _canonical_form(g.n, g.adj)[1]
+            matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+            auts = [[iso[v] for v in range(n)] for iso in matcher.isomorphisms_iter()]
+            # auts is the whole group, so an orbit is the images of one point
+            assert orbits(n, gens) == {frozenset(p[v] for p in auts) for v in range(n)}
+            images = [on_masks(n, p) for p in auts]
+            assert (orbits(1 << n, [on_masks(n, p) for p in gens])
+                    == {frozenset(img[m] for img in images) for m in range(1 << n)})
+
+
 def form(g: Graph) -> tuple[int, ...]:
-    return _canonical_form(g.n, g.adj)
+    return _canonical_form(g.n, g.adj)[0]
 
 
 def rooted_form(g: Graph, root: int) -> tuple[int, ...]:
     """The form with ``root`` coloured above every degree, as canonical
     augmentation takes it."""
-    return _canonical_form(g.n, g.adj, [g.n if v == root else g.degree(v) for v in range(g.n)])
+    return _canonical_form(g.n, g.adj, [g.n if v == root else g.degree(v) for v in range(g.n)])[0]
 
 
 def test_rooted_form_follows_the_root():
