@@ -46,6 +46,7 @@ from .split import (
     KIND_INVALID,
     check_relative_order,
     classify_all,
+    is_split,
     split_partition,
 )
 from .words import find_representant, format_word, parse_word, represents
@@ -118,7 +119,7 @@ def cmd_census(args) -> int:
     counts: dict[str, int] = {}
     total = non_rep = connected_non_rep = 0
     # split graphs are closed under vertex deletion: grow them from split parents
-    hereditary = (lambda g: split_partition(g) is not None) if args.filter == "split" else None
+    hereditary = is_split if args.filter == "split" else None
     for g in enumerate_graphs(n, allow_large=allow_large, hereditary=hereditary):
         connected = is_connected(g)
         if args.filter == "connected" and not connected:

@@ -22,18 +22,19 @@ to that path:
 On top of the typing there are relative-order restrictions pivoting on
 each type-C vertex's boundary pair (its last in-neighbour, its first
 out-neighbour).  Together the three conditions characterise
-semi-transitivity on split graphs.  One typing pass (``_typed``) and one
-violation scan (``_violations``) evaluate them: ``check_main_orientation``
-stops at the first failure, while ``classify_vertex``, ``classify_all``
-and ``check_relative_order`` turn the same results into the reports that
-``orient --classify-types`` prints.  The test suite cross-checks both
-views against the direct shortcut search on every orientation.
+semi-transitivity on split graphs.  ``classify_all`` is the one typing
+pass, taking each type-C vertex's groups as slices of the path;
+``check_relative_order`` reads its reports, and ``check_main_orientation``
+asks that the path exists, every vertex is typed and nothing violates.
+``orient --classify-types`` prints the same reports and violations.  The
+test suite checks them against the direct shortcut search on every
+orientation.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .graphs import Graph, _bits
 from .orient import (
@@ -204,75 +205,36 @@ def clique_path(sp: SplitPartition, og: OrientedGraph) -> tuple[int, ...] | None
     return tuple(path)
 
 
-def _typed(
-    sp: SplitPartition, og: OrientedGraph, path: tuple[int, ...], vertices: Iterable[int]
-) -> Iterator[tuple]:
-    """The typing pass: for each x in ``vertices``, yield (x, kind,
-    neighbour positions, source-group mask, sink-group mask, boundary).
-
-    Positions index ``path``; the group masks are vertex masks and the
-    boundary is (last source-group vertex, first sink-group vertex)
-    along the path, both for type C only.
-    """
+def classify_all(sp: SplitPartition, og: OrientedGraph) -> list[VertexTypeReport]:
+    """Type reports for the independent vertices under og, in the order
+    of ``sp.independent``.  Raises ValueError when the clique is not
+    transitively oriented."""
+    path = clique_path(sp, og)
+    if path is None:
+        raise ValueError("clique is not transitively oriented")
     m = len(path)
     rank = [0] * sp.graph.n
     for i, v in enumerate(path):
         rank[v] = i
     adj, out = sp.graph.adj, og.out
-    for x in vertices:
+    reports = []
+    for x in sp.independent:
         nbr_pos = out_pos = 0
         for v in _bits(adj[x]):
             nbr_pos |= 1 << rank[v]
             if out[x] >> v & 1:
                 out_pos |= 1 << rank[v]
-        in_pos = nbr_pos ^ out_pos
+        in_pos, groups = nbr_pos ^ out_pos, ()
         if not (in_pos and out_pos):  # A or B: one consecutive run
             run_end = nbr_pos + (nbr_pos & -nbr_pos)
             kind = KIND_INVALID if run_end & (run_end - 1) else KIND_B if in_pos else KIND_A
         elif in_pos & (in_pos + 1) or out_pos + (out_pos & -out_pos) != 1 << m:
             kind = KIND_INVALID  # C needs an in-prefix and an out-suffix
         else:
-            s, t = in_pos.bit_count(), out_pos.bit_count()
-            yield (x, KIND_C, nbr_pos, sum(1 << v for v in path[:s]),
-                   sum(1 << v for v in path[m - t:]), (path[s - 1], path[m - t]))
-            continue
-        yield x, kind, nbr_pos, 0, 0, None
-
-
-def _violations(adj: tuple[int, ...], typed: list[tuple]) -> Iterator[tuple]:
-    """Yield (y, x, boundary, kind) for every relative-order violation
-    among ``_typed`` entries, none of them INVALID, in entry order of
-    the pivot x, then of y (the rules are in ``check_relative_order``)."""
-    for x, kind, _, _, _, boundary in typed:
-        if kind != KIND_C:
-            continue
-        u, v = boundary
-        pair = (1 << u) | (1 << v)
-        for y, y_kind, _, src, snk, _ in typed:
-            if y == x:
-                continue
-            if y_kind != KIND_C:
-                if adj[y] & pair == pair:
-                    yield y, x, boundary, "AB"
-                continue
-            if src & pair == pair:
-                yield y, x, boundary, "C_SOURCE_GROUP"
-            if snk & pair == pair:
-                yield y, x, boundary, "C_SINK_GROUP"
-
-
-def _reports(
-    sp: SplitPartition, og: OrientedGraph, vertices: Iterable[int]
-) -> list[VertexTypeReport]:
-    path = clique_path(sp, og)
-    if path is None:
-        raise ValueError("clique is not transitively oriented")
-    m = len(path)  # both slices are () unless type C sets the group masks
-    return [
-        VertexTypeReport(x, kind, tuple(_bits(nbr_pos)), path[: src.bit_count()],
-                         path[m - snk.bit_count():], boundary)
-        for x, kind, nbr_pos, src, snk, boundary in _typed(sp, og, path, vertices)
-    ]
+            s, t = in_pos.bit_count(), m - out_pos.bit_count()
+            kind, groups = KIND_C, (path[:s], path[t:], (path[s - 1], path[t]))
+        reports.append(VertexTypeReport(x, kind, tuple(_bits(nbr_pos)), *groups))
+    return reports
 
 
 def classify_vertex(
@@ -285,45 +247,45 @@ def classify_vertex(
     """
     if x not in sp.independent:
         raise ValueError(f"vertex {x} is not in the independent set")
-    return _reports(sp, og, (x,))[0]
-
-
-def classify_all(sp: SplitPartition, og: OrientedGraph) -> list[VertexTypeReport]:
-    return _reports(sp, og, sp.independent)
+    return classify_all(sp, og)[sp.independent.index(x)]
 
 
 def check_relative_order(
     sp: SplitPartition, reports: Iterable[VertexTypeReport]
 ) -> list[OrderViolation]:
-    """All relative-order violations among typed independent vertices.
+    """All relative-order violations among typed independent vertices,
+    in report order of the pivot x, then of y.
 
     For each type-C vertex x with boundary pair (u, v): a type-A or -B
     vertex adjacent to both u and v violates, and so does another
     type-C vertex whose source-group or sink-group contains both.
     """
-    typed = []
-    for r in reports:
-        if r.kind == KIND_INVALID:
-            raise ValueError(f"vertex {r.vertex} is not of type A, B or C")
-        src = sum(1 << w for w in r.source_group)
-        snk = sum(1 << w for w in r.sink_group)
-        typed.append((r.vertex, r.kind, 0, src, snk, r.boundary))
-    return [OrderViolation(*v) for v in _violations(sp.graph.adj, typed)]
+    reports, found = list(reports), []
+    for x in reports:
+        if x.kind == KIND_INVALID:
+            raise ValueError(f"vertex {x.vertex} is not of type A, B or C")
+        if x.kind != KIND_C:
+            continue
+        u, v = x.boundary
+        pair = (1 << u) | (1 << v)
+        for y in reports:  # x's groups each miss u or v; A and B reports have none
+            if y.kind != KIND_C and sp.graph.adj[y.vertex] & pair == pair:
+                found.append(OrderViolation(y.vertex, x.vertex, x.boundary, "AB"))
+            if u in y.source_group and v in y.source_group:
+                found.append(OrderViolation(y.vertex, x.vertex, x.boundary, "C_SOURCE_GROUP"))
+            if u in y.sink_group and v in y.sink_group:
+                found.append(OrderViolation(y.vertex, x.vertex, x.boundary, "C_SINK_GROUP"))
+    return found
 
 
 def check_main_orientation(sp: SplitPartition, og: OrientedGraph) -> bool:
     """Structural semi-transitivity test for split graphs: transitive
     clique, every independent vertex of type A, B or C, and no
     relative-order violation.  Must coincide with is_semi_transitive."""
-    path = clique_path(sp, og)
-    if path is None:
+    if clique_path(sp, og) is None:
         return False
-    typed = []
-    for entry in _typed(sp, og, path, sp.independent):
-        if entry[1] == KIND_INVALID:
-            return False
-        typed.append(entry)
-    return next(_violations(sp.graph.adj, typed), None) is None
+    reports = classify_all(sp, og)
+    return all(r.kind != KIND_INVALID for r in reports) and not check_relative_order(sp, reports)
 
 
 def toggle_ab(sp: SplitPartition, og: OrientedGraph, x: int) -> OrientedGraph:

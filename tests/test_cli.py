@@ -12,7 +12,13 @@ import pytest
 from wordrep import families
 from wordrep.cli import main
 from wordrep.graphs import Graph, parse_graph6, write_graph6
-from wordrep.orient import is_forcing_chain, is_semi_transitive, orient_by_bits
+from wordrep.orient import (
+    OrientedGraph,
+    is_forcing_chain,
+    is_semi_transitive,
+    orient_by_bits,
+    orientation_bits,
+)
 from wordrep.words import parse_word, represents
 
 
@@ -307,6 +313,54 @@ def test_orient_bits_inspection(tmp_path, capsys):
     violations = [p for p in payloads if "y" in p]
     assert sorted(r["kind"] for r in reports) == ["B", "B", "C"]
     assert violations == [{"y": 4, "x": 6, "boundary": [1, 3], "kind": "AB"}]
+
+
+def test_orient_classify_types_rejects_what_it_cannot_type(tmp_path, capsys):
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(families.cycle(4)) + "\n")
+    code, out, err = run(capsys, "orient", str(path), "--classify-types")
+    assert code == 1 and len(out.splitlines()) == 1
+    assert err == "--classify-types needs a split input graph\n"
+    # bits 010 orient the triangle 0->1->2->0
+    path.write_text(write_graph6(families.complete(3)) + "\n")
+    code, out, err = run(capsys, "orient", str(path), "--bits", "010", "--classify-types")
+    assert code == 1 and out == "Bw\t010\tnot-semi-transitive\n"
+    assert err == "clique is not transitively oriented\n"
+
+
+def test_orient_classify_types_prints_invalid_reports_without_violations(tmp_path, capsys):
+    # vertex 3 sends both edges to the path 0->1->2, over positions 0 and 2
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 0), (3, 2), (0, 4)])
+    bits = orientation_bits(OrientedGraph(g, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 2), (0, 4)]))
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(g) + "\n")
+    code, out, err = run(capsys, "orient", str(path), "--bits", bits, "--classify-types")
+    assert code == 0 and err == ""
+    assert [json.loads(l) for l in out.splitlines()[1:]] == [
+        {"vertex": 3, "kind": "INVALID", "source_group": [], "sink_group": [], "boundary": None},
+        {"vertex": 4, "kind": "B", "source_group": [], "sink_group": [], "boundary": None},
+    ]
+
+
+def test_orient_classify_types_lists_type_c_group_violations(tmp_path, capsys):
+    # two type-C vertices over the path 0->...->4: 6's sink group holds
+    # 5's boundary pair, and 5's source group holds 6's
+    clique = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    g = Graph(7, clique + [(5, 0), (5, 1), (5, 2), (5, 4), (6, 0), (6, 2), (6, 3), (6, 4)])
+    og = OrientedGraph(g, clique + [(0, 5), (1, 5), (2, 5), (5, 4), (0, 6), (6, 2), (6, 3), (6, 4)])
+    path = tmp_path / "in.g6"
+    path.write_text(write_graph6(g) + "\n")
+    code, out, err = run(capsys, "orient", str(path), "--bits", orientation_bits(og),
+                         "--classify-types")
+    assert code == 0 and err == ""
+    assert [json.loads(l) for l in out.splitlines()[1:]] == [
+        {"vertex": 5, "kind": "C", "source_group": [0, 1, 2], "sink_group": [4],
+         "boundary": [2, 4]},
+        {"vertex": 6, "kind": "C", "source_group": [0], "sink_group": [2, 3, 4],
+         "boundary": [0, 2]},
+        {"y": 6, "x": 5, "boundary": [2, 4], "kind": "C_SINK_GROUP"},
+        {"y": 5, "x": 6, "boundary": [0, 2], "kind": "C_SOURCE_GROUP"},
+    ]
 
 
 def test_orient_bits_rejects_search_options(tmp_path, capsys):

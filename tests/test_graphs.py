@@ -439,6 +439,21 @@ def test_catalog_stream_matches_rooted_form_oracle():
         assert list(_catalog(n)) == list(_catalog_by_rooted_forms(n)), n
 
 
+def test_catalog_closes_each_mask_under_the_whole_group(monkeypatch):
+    # hand the empty 3-vertex parent the single generator 0->1->2->0: a
+    # 3-cycle has the orbits of S3 on masks, but mask {1} is below its
+    # image {2} while {0} is in its orbit, so a test against each
+    # generator alone would keep both {0} and {1} and repeat a class
+    def one_generator(n, adj, colors=None):
+        best, gens = _canonical_form(n, adj, colors)
+        return best, [[1, 2, 0]] if colors is None and adj == (0, 0, 0) else gens
+
+    monkeypatch.setattr("wordrep.graphs._canonical_form", one_generator)
+    graphs = list(_catalog(4))
+    assert len(graphs) == 11
+    assert len({form(g) for g in graphs}) == 11
+
+
 def is_split(g: Graph) -> bool:
     return split_partition(g) is not None
 
