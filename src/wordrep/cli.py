@@ -58,27 +58,30 @@ def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
     """Parse the graph6 lines of files or stdin; returns (graphs,
     error_count) and reports each failure on stderr: an unreadable file
     as one line naming it, a bad line with its line number, prefixed by
-    the file name unless it came from stdin."""
+    the file name unless it came from stdin.  Lines are read as bytes and
+    each byte decoded to its own code point, so a stray byte is a parse
+    error on its line, never a decoding crash."""
     parsed: list[Graph] = []
     errors = 0
     for path in paths or ["-"]:
         try:
-            if path == "-":
-                text = sys.stdin.read()
+            if path == "-":  # a StringIO standing in for stdin has no buffer
+                stdin = sys.stdin
+                data = stdin.buffer.read() if hasattr(stdin, "buffer") else stdin.read().encode()
             else:
-                with open(path) as handle:
-                    text = handle.read()
+                with open(path, "rb") as handle:
+                    data = handle.read()
         except OSError as exc:
             errors += 1
             print(f"{path}: {exc.strerror}", file=sys.stderr)
             continue
         where = "" if path == "-" else f"{path}: "
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(data.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                parsed.append(parse_graph6(line))
+                parsed.append(parse_graph6(line.decode("latin-1")))
             except Graph6Error as exc:
                 errors += 1
                 print(f"{where}line {lineno}: {exc}", file=sys.stderr)
@@ -180,9 +183,7 @@ def cmd_generate(args) -> int:
         g = families.named(args.tag, *args.params)
         print(write_graph6(g))  # raises beyond the graph6 short form
         if args.word:
-            if args.tag != "K_TRIANGLE":
-                raise ValueError(f"no explicit word defined for {args.tag}")
-            w = families.k_triangle_odd_word(*args.params)
+            w = families.explicit_word(args.tag, *args.params)
             assert represents(w, g)
             print(format_word(w))
         if args.orientation:

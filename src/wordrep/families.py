@@ -1,37 +1,43 @@
-"""Deterministic generators for the named graphs and parametric graph
-families this package studies, plus the canonical semi-transitive
-orientations and explicit representing words where those exist.
+"""Deterministic generators for the named graphs and parametric families
+this package studies, with canonical semi-transitive orientations and
+explicit representing words where those exist.
 
-Label conventions.  Figure transcriptions shift the customary 1-based
-drawing labels down by one, so vertex i in a drawing becomes i-1 here.
-For the triangle-crowned cliques, clique vertex i (1..l) becomes i-1
-and the attachment vertex i' becomes l+i-1; generators note their own
-mapping where it differs.
-
-Every fixed transcription carries its expected vertex count, edge count
-and degree sequence as an embedded self-check, so a mistranscribed edge
-fails fast rather than poisoning downstream results.
+Most are split graphs, which ``_split`` builds: the clique on 0..m-1,
+then independent vertices m, m+1, ... attached to listed clique subsets.
+The other fixed graphs are edge lists, transcribed from 1-based drawings
+shifted down by one.  Every fixed graph carries its degree sequence, and
+so its vertex count, as a self-check that raises on a mistranscribed or
+duplicate edge.  ``_TABLE`` maps every tag to its builder, its parameter
+count, and its canonical orientation and explicit word where those exist.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .graphs import Graph
 from .orient import OrientedGraph
 from .words import Word
 
 
-def _checked(n: int, edges: list[tuple[int, int]], degseq: tuple[int, ...]) -> Graph:
-    g = Graph(n, edges)
-    if g.edge_count != len(edges) or g.degree_sequence() != degseq:
-        raise AssertionError(
-            f"transcription self-check failed: n={n}, "
-            f"edges={g.edge_count}/{len(edges)}, degrees={g.degree_sequence()}"
-        )
-    return g
+def _split(m: int, neighbourhoods: Sequence[Iterable[int]]) -> Graph:
+    """The clique 0..m-1 plus independent vertices m, m+1, ..., the i-th
+    adjacent to the clique vertices listed in ``neighbourhoods[i]``."""
+    full = (1 << m) - 1
+    adj = [full ^ 1 << v for v in range(m)]
+    for w, nbrs in enumerate(neighbourhoods, m):
+        mask = 0
+        for c in nbrs:
+            mask |= 1 << c
+            adj[c] |= 1 << w
+        adj.append(mask)
+    return Graph._from_adj(len(adj), tuple(adj))
 
 
-# ---------------------------------------------------------------------------
-# Parametric families.
+def _windows(l: int, k: int) -> list[list[int]]:
+    """The l windows of k circularly consecutive vertices of 0..l-1."""
+    return [[(i + j) % l for j in range(k)] for i in range(l)]
 
 
 def k_triangle(l: int) -> Graph:
@@ -66,17 +72,8 @@ def k_triangle_odd_word(l: int) -> Word:
     """
     if l < 3 or l % 2 == 0:
         raise ValueError("the explicit word needs odd l >= 3")
-    blocks: list[int] = []
-
-    def attach(i: int) -> int:  # 1-based attachment label i' -> vertex index
-        return l + i
-
-    for i in range(1, l - 1, 2):
-        blocks += [attach(i), i, i + 1, attach(i)]
-    blocks += [attach(l), l, 1, attach(l)]
-    for i in range(2, l, 2):
-        blocks += [attach(i), i, i + 1, attach(i)]
-    return tuple(c - 1 for c in blocks)
+    order = [*range(1, l - 1, 2), l, *range(2, l, 2)]  # 1-based; attachment i' is l+i
+    return tuple(c - 1 for i in order for c in (l + i, i, i % l + 1, l + i))
 
 
 def a_graph(l: int) -> Graph:
@@ -87,12 +84,7 @@ def a_graph(l: int) -> Graph:
     """
     if l < 4:
         raise ValueError("a_graph needs l >= 4")
-    base = k_triangle(l - 1)
-    apex = base.n
-    edges = base.edges() + [(v, apex) for v in range(l - 1)]
-    g = Graph(apex + 1, edges)
-    assert g.n == 2 * l - 1
-    return g
+    return _split(l - 1, _windows(l - 1, 2) + [range(l - 1)])
 
 
 def k_ell_k(l: int, k: int) -> Graph:
@@ -104,13 +96,7 @@ def k_ell_k(l: int, k: int) -> Graph:
         raise ValueError("k_ell_k needs k >= 1")
     if l < 2 * k - 1:
         raise ValueError("k_ell_k needs l >= 2k-1")
-    edges = [(u, v) for u in range(l) for v in range(u + 1, l)]
-    for i in range(l):
-        for j in range(k):
-            edges.append(((i + j) % l, l + i))
-    g = Graph(2 * l, edges)
-    assert g.edge_count == l * (l - 1) // 2 + l * k
-    return g
+    return _split(l, _windows(l, k))
 
 
 def k_ell_k_canonical_orientation(l: int, k: int) -> OrientedGraph:
@@ -121,13 +107,9 @@ def k_ell_k_canonical_orientation(l: int, k: int) -> OrientedGraph:
     (type C)."""
     g = k_ell_k(l, k)
     arcs = [(u, v) for u in range(l) for v in range(u + 1, l)]
-    for i in range(l):
-        w = l + i
-        if i + k - 1 < l:
-            arcs.extend((c, w) for c in range(i, i + k))
-        else:
-            arcs.extend((c, w) for c in range(0, i + k - l))
-            arcs.extend((w, c) for c in range(i, l))
+    for i, window in enumerate(_windows(l, k)):
+        wraps = i + k > l
+        arcs += [(l + i, c) if wraps and c >= i else (c, l + i) for c in window]
     return OrientedGraph(g, arcs)
 
 
@@ -140,8 +122,7 @@ def cycle(m: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    full = (1 << n) - 1
-    return Graph._from_adj(n, tuple(full ^ 1 << v for v in range(n)))
+    return _split(n, ())
 
 
 def empty(n: int) -> Graph:
@@ -149,229 +130,119 @@ def empty(n: int) -> Graph:
 
 
 def two_k2() -> Graph:
-    return Graph(4, [(0, 1), (2, 3)])
-
-
-def wheel5() -> Graph:
-    """C5 plus an apex: the unique non-word-representable graph on six
-    vertices."""
-    rim = [(i, (i + 1) % 5) for i in range(5)]
-    return _checked(6, rim + [(i, 5) for i in range(5)], (3, 3, 3, 3, 3, 5))
+    return named("TWO_K2")
 
 
 # ---------------------------------------------------------------------------
-# Fixed transcriptions of the named small graphs.  T1-T3 are the three
-# minimal non-word-representable split graphs on 7 vertices, T4 the
-# minimal one on 8 with clique size 4; B1-B3 are the forbidden induced
-# subgraphs for split comparability graphs; CO_T2 and FIG4_RIGHT are
-# the two classic non-word-representable graphs all of whose vertex
-# neighbourhoods are comparability graphs; FIG2_EXAMPLE is the 4-vertex
-# demonstration graph represented by the word 0102312; M and M1-M6 are
-# the maximal configurations analysed for the clique-size-4
-# characterization.
+# The registry.  T1-T3 are the three minimal non-word-representable split
+# graphs on 7 vertices, T4 the minimal one on 8 with clique size 4; W5 (C5
+# plus an apex) is the unique non-word-representable graph on six vertices;
+# B1-B3 are the forbidden induced subgraphs for split comparability graphs;
+# CO_T2 and FIG4_RIGHT are the two classic non-word-representable graphs all
+# of whose vertex neighbourhoods are comparability graphs; FIG2_EXAMPLE is
+# the 4-vertex demonstration graph represented by the word 0102312; M and
+# M1-M6 are the maximal configurations analysed for the clique-size-4
+# characterization.  A _Family holds build(*params) -> Graph, its parameter
+# count, and the builders of the canonical orientation and the explicit word,
+# or None where those do not exist.
+_Family = namedtuple("_Family", "build arity orientation word", defaults=(0, None, None))
 
 
-def _t1() -> Graph:
-    # clique {1,2,4,6}; 0 ~ {1,2}, 3 ~ {1,4}, 5 ~ {2,4}; equals a_graph(4)
-    # up to relabelling
-    return _checked(
-        7,
-        [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (1, 6), (2, 4), (2, 5),
-         (2, 6), (3, 4), (4, 5), (4, 6)],
-        (2, 2, 2, 3, 5, 5, 5),
-    )
+def _checked(g: Graph, edges: int, degrees: tuple[int, ...]) -> Graph:
+    if g.edge_count != edges or g.degree_sequence() != degrees:
+        raise AssertionError(f"transcription self-check failed: n={g.n}, "
+                             f"edges={g.edge_count}/{edges}, degrees={g.degree_sequence()}")
+    return g
 
 
-def _t2() -> Graph:
-    # clique {0,1,2,3}; three degree-2 vertices all riding on vertex 1:
-    # 4 ~ {1,2}, 5 ~ {1,3}, 6 ~ {0,1}
-    return _checked(
-        7,
-        [(0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
-         (1, 6), (2, 3), (2, 4), (3, 5)],
-        (2, 2, 2, 4, 4, 4, 6),
-    )
+def _edge_list(degrees: tuple[int, ...], edges: list[tuple[int, int]]) -> _Family:
+    """A fixed graph on len(degrees) vertices."""
+    return _Family(lambda: _checked(Graph(len(degrees), edges), len(edges), degrees))
 
 
-def _t3() -> Graph:
-    # clique {0,1,2,3}; 4 ~ {1,2,3}, 5 ~ {0,1,2}, 6 ~ {0,1,3}
-    return _checked(
-        7,
-        [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
-         (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4), (3, 6)],
-        (3, 3, 3, 5, 5, 5, 6),
-    )
+def _clique(m: int, degrees: tuple[int, ...], *neighbourhoods: tuple[int, ...]) -> _Family:
+    """A fixed split graph: ``_split(m, neighbourhoods)``."""
+    edges = m * (m - 1) // 2 + sum(map(len, neighbourhoods))
+    return _Family(lambda: _checked(_split(m, neighbourhoods), edges, degrees))
 
 
-def _t4() -> Graph:
-    # clique {0,1,2,3}; 4 ~ {0,1}, 5 ~ {0,1,2}, 6 ~ {0,3}, 7 ~ {0,2,3}
-    return _checked(
-        8,
-        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2),
-         (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (2, 7), (3, 6), (3, 7)],
-        (2, 2, 3, 3, 5, 5, 5, 7),
-    )
-
-
-def _b1() -> Graph:
+_TABLE = {
+    # clique {1,2,4,6}; 0 ~ {1,2}, 3 ~ {1,4}, 5 ~ {2,4}; a_graph(4) relabelled
+    "T1": _edge_list((2, 2, 2, 3, 5, 5, 5), [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (1, 6),
+                                             (2, 4), (2, 5), (2, 6), (3, 4), (4, 5), (4, 6)]),
+    # three degree-2 vertices all riding on clique vertex 1
+    "T2": _clique(4, (2, 2, 2, 4, 4, 4, 6), (1, 2), (1, 3), (0, 1)),
+    "T3": _clique(4, (3, 3, 3, 5, 5, 5, 6), (1, 2, 3), (0, 1, 2), (0, 1, 3)),
+    "T4": _clique(4, (2, 2, 3, 3, 5, 5, 5, 7), (0, 1), (0, 1, 2), (0, 3), (0, 2, 3)),
+    # rim 0-1-2-3-4-0, hub 5
+    "W5": _edge_list((3, 3, 3, 3, 3, 5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+                                          (0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]),
     # the net: triangle {1,2,3} with pendants 0, 4, 5
-    return _checked(
-        6,
-        [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5)],
-        (1, 1, 1, 3, 3, 3),
-    )
-
-
-def _b2() -> Graph:
+    "B1": _edge_list((1, 1, 1, 3, 3, 3), [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5)]),
     # the 3-sun: triangle {1,2,4} with 0 ~ {1,2}, 3 ~ {1,4}, 5 ~ {2,4}
-    return _checked(
-        6,
-        [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 4), (4, 5)],
-        (2, 2, 2, 4, 4, 4),
-    )
-
-
-def _b3() -> Graph:
+    "B2": _edge_list((2, 2, 2, 4, 4, 4), [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4),
+                                          (2, 5), (3, 4), (4, 5)]),
     # triangle {1,3,4} with 0 ~ {1,3}, 2 ~ {1,4}, pendants 5 on 3 and 6 on 4
-    return _checked(
-        7,
-        [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5), (4, 6)],
-        (1, 1, 2, 2, 4, 4, 4),
-    )
-
-
-def _co_t2() -> Graph:
+    "B3": _edge_list((1, 1, 2, 2, 4, 4, 4), [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4),
+                                             (3, 4), (3, 5), (4, 6)]),
     # complement of the spider tree with three legs of length two
-    return _checked(
-        7,
-        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 6), (2, 3),
-         (2, 4), (2, 5), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)],
-        (3, 4, 4, 4, 5, 5, 5),
-    )
-
-
-def _fig4_right() -> Graph:
-    return _checked(
-        7,
-        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4),
-         (2, 5), (3, 6), (4, 6), (5, 6)],
-        (3, 3, 3, 3, 4, 4, 4),
-    )
-
-
-def _fig2_example() -> Graph:
-    return _checked(4, [(0, 1), (1, 2), (1, 3), (2, 3)], (1, 2, 2, 3))
-
-
-def _m_core(extra: list[tuple[int, ...]]) -> Graph:
-    """Clique {0,1,2,3} plus independent vertices with the given clique
-    neighbourhoods, labelled 4, 5, ... in order."""
-    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    for i, nbrs in enumerate(extra):
-        edges.extend((c, 4 + i) for c in nbrs)
-    return Graph(4 + len(extra), edges)
-
-
-def _m() -> Graph:
-    g = _m_core([(0, 1, 2), (0, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3)])
-    assert g.degree_sequence() == (2, 2, 2, 2, 3, 3, 6, 6, 7, 7)
-    return g
-
-
-def _m1() -> Graph:
-    g = _m_core([(0, 1, 2), (0, 2, 3), (1, 2), (2, 3), (0, 3)])
-    assert g.degree_sequence() == (2, 2, 2, 3, 3, 5, 6, 6, 7)
-    return g
-
-
-def _m2() -> Graph:
-    g = _m_core([(0, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3)])
-    assert g.degree_sequence() == (2, 2, 2, 2, 3, 5, 6, 6, 6)
-    return g
-
-
-def _m3() -> Graph:
-    g = _m_core([(0, 2, 3), (1, 2), (2, 3), (0, 3)])
-    assert g.degree_sequence() == (2, 2, 2, 3, 4, 5, 6, 6)
-    return g
-
-
-def _m4() -> Graph:
-    g = _m_core([(0, 1, 2), (1, 2), (2, 3), (0, 3)])
-    assert g.degree_sequence() == (2, 2, 2, 3, 5, 5, 5, 6)
-    return g
-
-
-def _m5() -> Graph:
-    g = _m_core([(0, 1, 2), (0, 2, 3), (2, 3), (0, 3)])
-    assert g.degree_sequence() == (2, 2, 3, 3, 4, 6, 6, 6)
-    return g
-
-
-def _m6() -> Graph:
-    g = _m_core([(0, 1, 2), (0, 2, 3), (1, 2), (0, 3)])
-    assert g.degree_sequence() == (2, 2, 3, 3, 5, 5, 6, 6)
-    return g
-
-
-_FIXED = {
-    "T1": _t1,
-    "T2": _t2,
-    "T3": _t3,
-    "T4": _t4,
-    "W5": wheel5,
-    "B1": _b1,
-    "B2": _b2,
-    "B3": _b3,
-    "CO_T2": _co_t2,
-    "FIG4_RIGHT": _fig4_right,
-    "FIG2_EXAMPLE": _fig2_example,
-    "M": _m,
-    "M1": _m1,
-    "M2": _m2,
-    "M3": _m3,
-    "M4": _m4,
-    "M5": _m5,
-    "M6": _m6,
-    "TWO_K2": two_k2,
-}
-
-_PARAMETRIC = {
-    "K_TRIANGLE": (k_triangle, 1),
-    "A_GRAPH": (a_graph, 1),
-    "K_L_K": (k_ell_k, 2),
-    "C": (cycle, 1),
-    "K": (complete, 1),
-    "EMPTY": (empty, 1),
+    "CO_T2": _edge_list((3, 4, 4, 4, 5, 5, 5), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4),
+                                                (1, 6), (2, 3), (2, 4), (2, 5), (3, 5), (3, 6),
+                                                (4, 5), (4, 6), (5, 6)]),
+    "FIG4_RIGHT": _edge_list((3, 3, 3, 3, 4, 4, 4), [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
+                                                     (1, 3), (1, 5), (2, 4), (2, 5), (3, 6),
+                                                     (4, 6), (5, 6)]),
+    "FIG2_EXAMPLE": _edge_list((1, 2, 2, 3), [(0, 1), (1, 2), (1, 3), (2, 3)]),
+    "M": _clique(4, (2, 2, 2, 2, 3, 3, 6, 6, 7, 7),
+                 (0, 1, 2), (0, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3)),
+    "M1": _clique(4, (2, 2, 2, 3, 3, 5, 6, 6, 7), (0, 1, 2), (0, 2, 3), (1, 2), (2, 3), (0, 3)),
+    "M2": _clique(4, (2, 2, 2, 2, 3, 5, 6, 6, 6), (0, 2, 3), (0, 1), (1, 2), (2, 3), (0, 3)),
+    "M3": _clique(4, (2, 2, 2, 3, 4, 5, 6, 6), (0, 2, 3), (1, 2), (2, 3), (0, 3)),
+    "M4": _clique(4, (2, 2, 2, 3, 5, 5, 5, 6), (0, 1, 2), (1, 2), (2, 3), (0, 3)),
+    "M5": _clique(4, (2, 2, 3, 3, 4, 6, 6, 6), (0, 1, 2), (0, 2, 3), (2, 3), (0, 3)),
+    "M6": _clique(4, (2, 2, 3, 3, 5, 5, 6, 6), (0, 1, 2), (0, 2, 3), (1, 2), (0, 3)),
+    "TWO_K2": _edge_list((1, 1, 1, 1), [(0, 1), (2, 3)]),
+    "K_TRIANGLE": _Family(k_triangle, 1, k_triangle_canonical_orientation, k_triangle_odd_word),
+    "A_GRAPH": _Family(a_graph, 1),
+    "K_L_K": _Family(k_ell_k, 2, k_ell_k_canonical_orientation),
+    "C": _Family(cycle, 1),
+    "K": _Family(complete, 1),
+    "EMPTY": _Family(empty, 1),
 }
 
 
 def family_tags() -> list[str]:
-    return sorted(_FIXED) + sorted(_PARAMETRIC)
+    """The fixed tags, sorted, then the parametric ones, sorted."""
+    return sorted(_TABLE, key=lambda tag: (_TABLE[tag].arity > 0, tag))
+
+
+def _look_up(tag: str, params: tuple[int, ...]) -> _Family:
+    if tag not in _TABLE:
+        raise ValueError(f"unknown graph tag {tag!r}; known: {', '.join(family_tags())}")
+    family = _TABLE[tag]
+    if len(params) != family.arity:
+        raise ValueError(f"{tag} takes {family.arity} parameter(s), got {len(params)}"
+                         if family.arity else f"{tag} takes no parameters")
+    return family
 
 
 def named(tag: str, *params: int) -> Graph:
     """Build a named graph; parametric families take their parameters
     as extra arguments (e.g. named("K_TRIANGLE", 6))."""
-    if tag in _FIXED:
-        if params:
-            raise ValueError(f"{tag} takes no parameters")
-        return _FIXED[tag]()
-    if tag in _PARAMETRIC:
-        fn, arity = _PARAMETRIC[tag]
-        if len(params) != arity:
-            raise ValueError(f"{tag} takes {arity} parameter(s), got {len(params)}")
-        return fn(*params)
-    raise ValueError(f"unknown graph tag {tag!r}; known: {', '.join(family_tags())}")
+    return _look_up(tag, params).build(*params)
 
 
 def canonical_orientation(tag: str, *params: int) -> OrientedGraph:
     """The canonical semi-transitive orientation for families that have
     one (K_TRIANGLE and K_L_K)."""
-    if tag == "K_TRIANGLE":
-        (l,) = params
-        return k_triangle_canonical_orientation(l)
-    if tag == "K_L_K":
-        l, k = params
-        return k_ell_k_canonical_orientation(l, k)
-    raise ValueError(f"no canonical orientation defined for {tag}")
+    if getattr(_TABLE.get(tag), "orientation", None) is None:
+        raise ValueError(f"no canonical orientation defined for {tag}")
+    return _look_up(tag, params).orientation(*params)
+
+
+def explicit_word(tag: str, *params: int) -> Word:
+    """The explicit representing word for families that have one (odd
+    K_TRIANGLE)."""
+    if getattr(_TABLE.get(tag), "word", None) is None:
+        raise ValueError(f"no explicit word defined for {tag}")
+    return _look_up(tag, params).word(*params)

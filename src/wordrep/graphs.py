@@ -361,11 +361,13 @@ def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) ->
     the graph permutes the leaves.  A leaf that reads the best adjacency
     again maps each vertex to the best leaf's vertex of its colour.  Of
     twins only the first is branched on; their swap maps its branch onto
-    each pruned one.  These maps generate the group.  Colouring one
+    each pruned one, and is kept unless the swaps kept so far already
+    join the two.  These maps generate the group.  Colouring one
     vertex above all degrees gives a rooted form, equal for two vertices
     iff an automorphism maps one to the other."""
     nbrs = [_bits(m) for m in adj]
     best, first, gens = (), [], []  # first[c]: the best leaf's vertex of colour c
+    joined = list(range(n))  # joined[v]: v's class under the kept swaps (quick-find)
     stack = [_refine(nbrs, [len(nb) for nb in nbrs] if colors is None else colors)]
     while stack:
         colors = stack.pop()
@@ -385,7 +387,8 @@ def _canonical_form(n: int, adj: tuple[int, ...], colors: list | None = None) ->
             if u is None:
                 kept.append(v)
                 stack.append(_refine(nbrs, [2 * d + (w == v) for w, d in enumerate(colors)]))
-            else:
+            elif joined[u] != joined[v]:
+                joined = [joined[u] if c == joined[v] else c for c in joined]
                 gens.append([v if w == u else u if w == v else w for w in range(n)])
     return best, gens
 

@@ -25,10 +25,11 @@ from wordrep.words import parse_word, represents
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*argv, preexec_fn=None):
-    """Run ``python -m wordrep.cli`` in a fresh interpreter on this tree."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, "-m", "wordrep.cli", *argv],
+def run_module(*argv, preexec_fn=None, stdin=None, env=None):
+    """Run ``python -m wordrep.cli`` in a fresh interpreter on this tree,
+    with ``env`` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
+    return subprocess.run([sys.executable, "-m", "wordrep.cli", *argv], stdin=stdin,
                           capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
@@ -460,6 +461,30 @@ def test_unreadable_input_is_one_stderr_line(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(f"{missing}: ")
     assert proc.stdout.startswith(g6("K", 3) + "\t")  # the readable file is still processed
+
+
+UNDECODABLE = f"{g6('K', 3)}\n".encode() + b"\xff\n" + f"{g6('W5')}\n".encode()
+
+
+@pytest.mark.parametrize("command", ["classify", "orient", "represent"])
+def test_undecodable_byte_is_one_parse_error(tmp_path, command):
+    path = tmp_path / "in.g6"
+    path.write_bytes(UNDECODABLE)
+    proc = run_module(command, str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == f"{path}: line 2: invalid header byte 255 (byte offset 0)\n"
+    assert [line.split("\t")[0] for line in proc.stdout.splitlines()] == [g6("K", 3), g6("W5")]
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_undecodable_stdin_byte_is_one_parse_error(tmp_path, encoding):
+    path = tmp_path / "in.g6"
+    path.write_bytes(UNDECODABLE)
+    with path.open("rb") as handle:
+        proc = run_module("classify", stdin=handle, env={"PYTHONIOENCODING": encoding})
+    assert proc.returncode == 1
+    assert proc.stderr == "line 2: invalid header byte 255 (byte offset 0)\n"
+    assert [line.split("\t")[0] for line in proc.stdout.splitlines()] == [g6("K", 3), g6("W5")]
 
 
 def test_module_entry_point_matches_main(capsys):

@@ -162,3 +162,33 @@ def test_t1_is_b2_plus_apex():
 def test_fig2_example_word():
     g = families.named("FIG2_EXAMPLE")
     assert represents((0, 1, 0, 2, 3, 1, 2), g)
+
+
+def test_split_builder_labels():
+    # the clique on 0..m-1, then the independent vertices in order
+    g = families._split(3, [(0,), (1, 2)])
+    assert g == Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 4)])
+
+
+def test_fixed_graphs_check_themselves():
+    duplicate = families._edge_list((1, 1, 1, 1), [(0, 1), (2, 3), (1, 0)])
+    wrong_degrees = families._clique(3, (1, 2, 2, 2), (0, 1))
+    too_few_vertices = families._clique(4, (2, 2, 2, 4, 4, 4, 6), (1, 2), (1, 3))
+    for family in (duplicate, wrong_degrees, too_few_vertices):
+        with pytest.raises(AssertionError, match="self-check failed"):
+            family.build()
+    with pytest.raises(ValueError, match="out of range"):
+        families._edge_list((1, 1, 1), [(0, 1), (2, 3)]).build()
+
+
+def test_table_orientations_and_words():
+    assert families.explicit_word("K_TRIANGLE", 5) == families.k_triangle_odd_word(5)
+    assert families.canonical_orientation("K_L_K", 7, 3) == (
+        families.k_ell_k_canonical_orientation(7, 3)
+    )
+    with pytest.raises(ValueError, match="no explicit word defined for K_L_K"):
+        families.explicit_word("K_L_K", 5, 2)
+    with pytest.raises(ValueError, match="no canonical orientation defined for A_GRAPH"):
+        families.canonical_orientation("A_GRAPH", 5)
+    with pytest.raises(ValueError, match="K_TRIANGLE takes 1 parameter"):
+        families.canonical_orientation("K_TRIANGLE")

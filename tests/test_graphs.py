@@ -511,6 +511,15 @@ def test_canonical_form_generators_give_the_automorphism_orbits():
                     == {frozenset(img[m] for img in images) for m in range(1 << n)})
 
 
+def test_canonical_form_keeps_one_twin_swap_per_join():
+    # a twin swap is kept only when it joins twins that the kept swaps do
+    # not already join: a spanning tree of each class of twins, so n - 1
+    # swaps for K_n and for the empty graph, and k - 1 for k leaves of a star
+    star = Graph(5, [(0, v) for v in range(1, 5)])
+    for g, count in ((families.complete(6), 5), (families.empty(5), 4), (star, 3)):
+        assert len(_canonical_form(g.n, g.adj)[1]) == count
+
+
 def form(g: Graph) -> tuple[int, ...]:
     return _canonical_form(g.n, g.adj)[0]
 
