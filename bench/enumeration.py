@@ -15,9 +15,11 @@ neither writes under ``src/``.  Values are the minimum of five runs:
   ``ru_maxrss``: a child started by ``subprocess`` inherits the peak of
   the process that started it, so it would read this script's own.
 - ``catalog_9`` and ``catalog_9_maxrss_kb``: the same for n = 9, from
-  one run per tree (the 274668 classes take tens of seconds);
-- ``census_7_<filter>`` (all, connected, split) and ``census_8_split``:
-  wall-clock seconds of the ``census`` command, process start to exit.
+  three runs per tree (the 274668 classes take tens of seconds, and
+  single runs of one tree differ by 40%);
+- ``census_7_<filter>`` (all, connected, split), ``census_8_connected``
+  and ``census_8_split``: wall-clock seconds of the ``census`` command,
+  process start to exit, on every CPU the command may use.
 - ``represent_k_triangle_<l>`` (l = 4, 5): wall-clock seconds of
   ``represent --max-uniformity 3`` on K_TRIANGLE l, fed as graph6 on
   standard input: the bounded word search, not an enumeration.
@@ -41,7 +43,8 @@ from report import ROOT, main
 
 OUT = ROOT / "BENCH_enumeration.json"
 RUNS = 5
-METHOD = (f"minimum of {RUNS} runs per tree (catalog_9: one), parent and change "
+RUNS_9 = 3
+METHOD = (f"minimum of {RUNS} runs per tree (catalog_9: {RUNS_9}), parent and change "
           "alternating run by run, each a fresh python3 -S -B process with a per-tree "
           "PYTHONPYCACHEPREFIX that one untimed import filled; catalog_<n>: seconds to "
           "take every class of _catalog(n) in process; catalog_<n>_maxrss_kb: that "
@@ -51,7 +54,8 @@ CATALOG = "import time; from wordrep.graphs import _catalog; " \
           "print(time.perf_counter() - t, " \
           "next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1])"
 CENSUSES = (("census_7_all", 7, "all"), ("census_7_connected", 7, "connected"),
-            ("census_7_split", 7, "split"), ("census_8_split", 8, "split"))
+            ("census_7_split", 7, "split"), ("census_8_connected", 8, "connected"),
+            ("census_8_split", 8, "split"))
 REPRESENTS = (("represent_k_triangle_4", 4), ("represent_k_triangle_5", 5))
 GRAPH6 = "from wordrep.families import k_triangle; from wordrep.graphs import write_graph6; " \
          "print(write_graph6(k_triangle({l})))"
@@ -97,7 +101,7 @@ def measure(trees: dict[str, Path]) -> dict[str, dict]:
                 for label, src in trees.items()}
         for env in envs.values():
             subprocess.run([sys.executable, "-S", "-c", "import wordrep.cli"], env=env, check=True)
-        for n, runs in ((6, RUNS), (7, RUNS), (8, RUNS), (9, 1)):
+        for n, runs in ((6, RUNS), (7, RUNS), (8, RUNS), (9, RUNS_9)):
             for label, got in interleaved(envs, runs, lambda env: catalog_run(env, n)).items():
                 rows[label][f"catalog_{n}"] = min(seconds for seconds, _ in got)
                 if n > 6:

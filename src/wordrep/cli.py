@@ -6,17 +6,21 @@ Machine-readable output is line-oriented JSON behind --json.
 `classify` and `census` take ``classify.classify_graph``'s one ladder,
 split graph or not; its reason tokens are CLIQUE_LE_3, COMPARABILITY,
 THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD and ORACLE_SEARCH.
-``Verdict`` writes each line's verdict and witness, and `classify
---verify` re-decides every verdict the search did not give.  Exit codes: 0
-success, 1 usage or parse errors, 2 census expectation mismatch or a
-`represent --check` word that does not represent its graph, 3 internal
-invariant violation (two routes that must agree disagreed).
+`census` classifies on every CPU the process may use, each forked
+worker taking its share of the catalogue's parents, and prints in
+catalogue order, as one process would.  ``Verdict`` writes each line's
+verdict and witness, and `classify --verify` re-decides every verdict
+the search did not give.  Exit codes: 0 success, 1 usage or parse
+errors, 2 census expectation mismatch or a `represent --check` word
+that does not represent its graph, 3 internal invariant violation (two
+routes that must agree disagreed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import sys
 import time
@@ -28,6 +32,7 @@ from .graphs import (
     GRAPH6_MAX_N,
     Graph,
     Graph6Error,
+    _children,
     enumerate_graphs,
     is_connected,
     parse_graph6,
@@ -109,6 +114,73 @@ def cmd_classify(args) -> int:
 # census
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _census_records(broods, connected_only: bool):
+    """One record per brood (the children of one parent): its class
+    count per reason key, and the graph6 text, split flag and
+    connectivity of each non-representable class, in brood order."""
+    for brood in broods:
+        counts: dict[str, int] = {}
+        found = []
+        for g in brood:
+            connected = is_connected(g)
+            if connected_only and not connected:
+                continue
+            sp = split_partition(g)
+            verdict = _verdict_for(g, sp)
+            key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
+            counts[key] = counts.get(key, 0) + 1
+            if not verdict.representable:
+                found.append((write_graph6(g), sp is not None, connected))
+        yield counts, found
+
+
+def _fork_worker(records) -> tuple[int, int]:
+    """Fork a process that marshals each of ``records`` into a pipe, or,
+    at an exception, (None, (its name, its text)) and stops; returns the
+    pid and the pipe's read end."""
+    sys.stdout.flush()  # else the worker would hold a copy of what is unwritten
+    sys.stderr.flush()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:  # leave by os._exit: flush no inherited buffer, run no exit handler
+        os.close(read)
+        with os.fdopen(write, "wb") as out:
+            try:
+                for record in records:
+                    marshal.dump(record, out)
+                    out.flush()
+            except Exception as exc:
+                marshal.dump((None, (type(exc).__name__, str(exc))), out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(stream) -> tuple[dict, list]:
+    """The next record of a worker's pipe.  A pipe that ends early raises,
+    and so does a worker's exception, as an OracleDisagreement if it was one."""
+    try:
+        counts, found = marshal.load(stream)
+    except (EOFError, ValueError):
+        raise RuntimeError("a census worker ended before its last record") from None
+    if counts is None:
+        name, text = found
+        if name == OracleDisagreement.__name__:
+            raise OracleDisagreement(text)
+        raise RuntimeError(f"a census worker failed: {name}: {text}")
+    return counts, found
+
+
 def cmd_census(args) -> int:
     n = args.n
     allow_large = bool(os.environ.get(LARGE_CENSUS_VAR))
@@ -123,23 +195,46 @@ def cmd_census(args) -> int:
     total = non_rep = connected_non_rep = 0
     # split graphs are closed under vertex deletion: grow them from split parents
     hereditary = is_split if args.filter == "split" else None
-    for g in enumerate_graphs(n, allow_large=allow_large, hereditary=hereditary):
-        connected = is_connected(g)
-        if args.filter == "connected" and not connected:
-            continue
-        sp = split_partition(g)
-        total += 1
-        verdict = _verdict_for(g, sp)
-        key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
-        counts[key] = counts.get(key, 0) + 1
-        if not verdict.representable:
-            non_rep += 1
-            connected_non_rep += connected
-            g6, split = write_graph6(g), sp is not None
-            if args.json:
-                print(json.dumps({"graph6": g6, "split": split, "connected": connected}))
-            else:
-                print(f"{g6}\tnon-representable" + ("\tsplit" if split else ""))
+
+    def brood(padj):  # the one class of order 0 has no parent
+        return _children(n, padj, hereditary) if n else enumerate_graphs(0, hereditary=hereditary)
+
+    parents = [g.adj for g in enumerate_graphs(n - 1, allow_large=allow_large,
+                                               hereditary=hereditary)] if n else [()]
+    # Parent i's brood goes to worker i % workers, worker 0 being this
+    # process.  No two parents share a child, and the records are read
+    # in parent order, so the output is that of one process.
+    workers = min(_usable_cpus(), len(parents)) if hasattr(os, "fork") else 1
+    shares = [_census_records(map(brood, parents[k::workers]), args.filter == "connected")
+              for k in range(workers)]
+    pids, streams = [], []
+    try:
+        for share in shares[1:]:
+            pid, read = _fork_worker(share)
+            pids.append(pid)
+            streams.append(os.fdopen(read, "rb"))
+        for i in range(len(parents)):
+            k = i % workers
+            brood_counts, found = _receive(streams[k - 1]) if k else next(shares[0])
+            for key, cnt in brood_counts.items():
+                counts[key] = counts.get(key, 0) + cnt
+                total += cnt
+            for g6, split, connected in found:
+                non_rep += 1
+                connected_non_rep += connected
+                if args.json:
+                    print(json.dumps({"graph6": g6, "split": split, "connected": connected}))
+                else:
+                    print(f"{g6}\tnon-representable" + ("\tsplit" if split else ""))
+    finally:
+        for stream in streams:
+            stream.close()
+        if pids:
+            import signal  # here, so that only a census that forks loads it
+
+            for pid in pids:  # a worker still running is no longer wanted
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     elapsed = time.perf_counter() - start
     summary = {
         "n": n,

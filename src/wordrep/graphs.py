@@ -444,36 +444,44 @@ def _last_vertex_canonical(adj: tuple[int, ...]) -> bool:
 
 
 def _catalog(n: int, hereditary: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
-    """Each class of order n-1, in catalogue order, gains vertex n-1 by
-    the least mask of each orbit of its automorphisms, in increasing
-    order.  A child is kept when n-1 is in its canonical orbit, so the
-    parent is its canonical deletion, and ``hereditary``, if given,
-    accepts it.  Each call enumerates afresh, yielding a child as it is
+    """Each class of order n-1, in catalogue order, followed by its
+    ``_children``.  Each call enumerates afresh, yielding a child as it is
     kept and reading the parents from ``_catalog(n - 1, hereditary)``."""
     if n == 0:
         yield from [Graph(0)] if hereditary is None or hereditary(Graph(0)) else []
         return
+    for parent in _catalog(n - 1, hereditary):
+        yield from _children(n, parent.adj, hereditary)
+
+
+def _children(n: int, padj: tuple[int, ...],
+              hereditary: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
+    """The children of order n of the class of order n-1 with adjacency
+    padj: it gains vertex n-1 by the least mask of each orbit of its
+    automorphisms, in increasing order.  A child is kept when n-1 is in
+    its canonical orbit, so the parent is its canonical deletion, and
+    ``hereditary``, if given, accepts it.  No two parents share a child,
+    so the parents can be shared out among processes."""
     newbit = 1 << (n - 1)
-    for padj in (parent.adj for parent in _catalog(n - 1, hereditary)):
-        imgs = []  # img[m]: the image of mask m under one generator of Aut(parent)
-        for p in _canonical_form(n - 1, padj)[1]:
-            img = [0] * newbit
-            for m in range(1, newbit):
-                img[m] = img[m & m - 1] | 1 << p[(m & -m).bit_length() - 1]
-            imgs.append(img)
-        # with fewer bits than the parent's top degree, n-1 is not canonical, in all the orbit
-        top, seen = max([r.bit_count() for r in padj], default=0), bytearray(newbit)
-        for mask in range(newbit):
-            if seen[mask] or mask.bit_count() < top:
-                continue
-            orbit = [mask]  # mask is the least of the orbit it opens
-            for m in orbit:
-                for img in imgs:
-                    if not seen[img[m]]:
-                        seen[img[m]] = 1
-                        orbit.append(img[m])
-            adj = tuple(r | newbit if mask >> u & 1 else r for u, r in enumerate(padj)) + (mask,)
-            if _last_vertex_canonical(adj):
-                child = Graph._from_adj(n, adj)
-                if hereditary is None or hereditary(child):
-                    yield child
+    imgs = []  # img[m]: the image of mask m under one generator of Aut(parent)
+    for p in _canonical_form(n - 1, padj)[1]:
+        img = [0] * newbit
+        for m in range(1, newbit):
+            img[m] = img[m & m - 1] | 1 << p[(m & -m).bit_length() - 1]
+        imgs.append(img)
+    # with fewer bits than the parent's top degree, n-1 is not canonical, in all the orbit
+    top, seen = max([r.bit_count() for r in padj], default=0), bytearray(newbit)
+    for mask in range(newbit):
+        if seen[mask] or mask.bit_count() < top:
+            continue
+        orbit = [mask]  # mask is the least of the orbit it opens
+        for m in orbit:
+            for img in imgs:
+                if not seen[img[m]]:
+                    seen[img[m]] = 1
+                    orbit.append(img[m])
+        adj = tuple(r | newbit if mask >> u & 1 else r for u, r in enumerate(padj)) + (mask,)
+        if _last_vertex_canonical(adj):
+            child = Graph._from_adj(n, adj)
+            if hereditary is None or hereditary(child):
+                yield child

@@ -3,16 +3,18 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from wordrep import families
+from wordrep import cli, families
 from wordrep.cli import main
 from wordrep.graphs import Graph, parse_graph6, write_graph6
 from wordrep.orient import (
+    OracleDisagreement,
     OrientedGraph,
     is_forcing_chain,
     is_semi_transitive,
@@ -20,6 +22,7 @@ from wordrep.orient import (
     orientation_bits,
 )
 from wordrep.words import parse_word, represents
+from conftest import EXHAUSTIVE
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -151,6 +154,123 @@ def test_census_guard(capsys, monkeypatch):
     code, out, err = run(capsys, "census", "9")
     assert code == 1
     assert "WORDREP_ALLOW_LARGE_CENSUS" in err
+
+
+SECONDS = re.compile(r"(seconds(?:=|\": ))[0-9.]+")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_census_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, n):
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    for flt in ("all", "connected", "split"):
+        for fmt in ([], ["--json"]):
+            seen = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(cli, "_usable_cpus", lambda k=workers: k)
+                code, out, err = run(capsys, "census", str(n), "--filter", flt, *fmt)
+                seen.append((code, SECONDS.sub(r"\g<1>0", out), err))
+            assert seen[1] == seen[0] and seen[2] == seen[0], (flt, fmt)
+    # order n has one parent per class of order n-1: 1, 1, 2, 4, ... classes
+    assert bool(forks) == (n >= 3)
+    assert_no_child_left()
+
+
+def in_worker(action):
+    """A stand-in for the CLI's ``_verdict_for`` that runs ``action`` in
+    a census worker and classifies as usual in the main process."""
+    main_pid, verdict_for = os.getpid(), cli._verdict_for
+
+    def verdict(*args):
+        if os.getpid() != main_pid:
+            action()
+        return verdict_for(*args)
+
+    return verdict
+
+
+def test_census_worker_disagreement_exits_3(capsys, monkeypatch):
+    def disagree():
+        raise OracleDisagreement("planted in a worker")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_verdict_for", in_worker(disagree))
+    code, out, err = run(capsys, "census", "6")
+    assert code == 3
+    assert err == "internal invariant violation: planted in a worker\n"
+    assert "classes=" not in out
+    assert_no_child_left()
+
+
+def test_census_worker_that_dies_is_an_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_verdict_for", in_worker(lambda: os._exit(1)))
+    with pytest.raises(RuntimeError, match="census worker ended before its last record"):
+        main(["census", "6"])
+    assert "classes=" not in capsys.readouterr().out
+    assert_no_child_left()
+    # and a process exits non-zero, without totals
+    script = ("import os, sys\n"
+              "from wordrep import cli\n"
+              "main_pid, verdict_for = os.getpid(), cli._verdict_for\n"
+              "def verdict(*args):\n"
+              "    if os.getpid() != main_pid:\n"
+              "        os._exit(1)\n"
+              "    return verdict_for(*args)\n"
+              "cli._usable_cpus, cli._verdict_for = lambda: 2, verdict\n"
+              "sys.exit(cli.main(['census', '6']))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "census worker ended before its last record" in proc.stderr
+    assert "classes=" not in proc.stdout
+
+
+class BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_census_stopped_early_reaps_its_workers(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["census", "6", "--expected", "2"]) == 2  # the exit after the summary
+    assert_no_child_left()
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())  # W5's line finds stdout closed
+    assert main(["census", "6"]) == 0
+    assert_no_child_left()
+    monkeypatch.undo()
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_verdict_for", interrupt)  # in the main process too
+    with pytest.raises(KeyboardInterrupt):
+        main(["census", "6"])
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not EXHAUSTIVE, reason="census 9 takes minutes; set WORDREP_EXHAUSTIVE=1")
+def test_census_9_connected(capsys, monkeypatch):
+    # the repo's own count: every representable verdict at n = 9 carries an
+    # orientation that an independent shortcut walk accepted
+    monkeypatch.setenv("WORDREP_ALLOW_LARGE_CENSUS", "1")
+    code, out, err = run(capsys, "census", "9", "--filter", "connected", "--json",
+                         "--expected", "54957")
+    assert code == 0, err
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["classes"] == 261080
+    assert summary["connected_non_representable"] == 54957
 
 
 def test_generate(capsys):

@@ -22,6 +22,7 @@ from wordrep.graphs import (
     _bits,
     _canonical_form,
     _catalog,
+    _children,
     _twins,
     contains_induced,
     enumerate_graphs,
@@ -437,6 +438,15 @@ def test_catalog_stream_matches_rooted_form_oracle():
     # n = 9 takes the oracle about 45 s
     for n in range(10 if EXHAUSTIVE else 9):
         assert list(_catalog(n)) == list(_catalog_by_rooted_forms(n)), n
+
+
+def test_catalog_is_its_parents_children_in_order():
+    # the census shares the parents out among processes and merges their
+    # children back parent by parent, which is this stream
+    for n in range(1, 9):
+        for hereditary in (None, is_split):
+            chained = [g for p in _catalog(n - 1, hereditary) for g in _children(n, p.adj, hereditary)]
+            assert list(_catalog(n, hereditary)) == chained, (n, hereditary)
 
 
 def test_catalog_closes_each_mask_under_the_whole_group(monkeypatch):
