@@ -28,13 +28,17 @@ Two numbers per workload, each the minimum over five runs:
   --json`` for the census, whose enumeration is most of it);
 - ``routes``: per reason token, the verdict count and the seconds spent
   classifying those graphs, timed graph by graph around the CLI's
-  ``_verdict_for`` in one process that has already parsed or enumerated
-  the graphs; ``classify_s`` is their sum.  The minimum is taken per
-  route.
+  ``_verdict_for`` in one pass of a process that has already parsed or
+  enumerated the graphs; ``classify_s`` is their sum.  The minimum is
+  taken per route.
 
 Both trees, the parent's and the change's, are measured in one
-invocation; their ``cli_s`` runs take turns.  It writes
-``BENCH_corpus.json`` at the root of the repository:
+invocation; their runs of each kind take turns, and which one goes
+first alternates from round to round.  Every run is a fresh ``python3 -S -B``
+process with its tree's own ``PYTHONPYCACHEPREFIX``, which one untimed
+import of ``wordrep.cli`` fills first, so neither tree writes under
+``src/``.  It writes ``BENCH_corpus.json`` at the root of the
+repository:
 
     python3 bench/corpus.py --parent ../parent/src
 """
@@ -42,47 +46,44 @@ invocation; their ``cli_s`` runs take turns.  It writes
 from __future__ import annotations
 
 import json
-import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from report import ROOT, main
+from report import ROOT, interleaved, main, tree_envs
 
 OUT = ROOT / "BENCH_corpus.json"
 RUNS = 5
-METHOD = (f"minimum of {RUNS} runs; cli_s: wall-clock seconds of one fresh "
-          "python3 -S process over the whole corpus; routes: per reason, verdicts "
-          "and seconds timed graph by graph in one process, minimum per route")
+METHOD = (f"minimum of {RUNS} runs, parent and change alternating run by run, each a "
+          "fresh python3 -S -B process with a per-tree PYTHONPYCACHEPREFIX that one "
+          "untimed import filled; cli_s: wall-clock seconds of the process over the "
+          "whole corpus; routes: per reason, verdicts and seconds timed graph by graph "
+          "in one pass, minimum per route")
 SEEDS = (1, 7919)
 CLI = "from wordrep.cli import console_main; console_main()"
-# Runs in the measured tree: classify each graph RUNS times through the
-# CLI's own route and print, per reason, the count and the least time.
+# Runs in the measured tree: classify each graph once through the CLI's
+# own route and print, per reason, the count and the seconds.
 ROUTES = """
 import json, sys, time
 from wordrep.cli import _verdict_for
 from wordrep.graphs import enumerate_graphs, is_connected, parse_graph6
 from wordrep.split import split_partition
-runs, witness, source = int(sys.argv[1]), sys.argv[2] == "1", sys.argv[3]
+witness, source = sys.argv[1] == "1", sys.argv[2]
 if source == "census":
     graphs = [g for g in enumerate_graphs(8) if is_connected(g)]
 else:
     graphs = [parse_graph6(line) for line in sys.stdin.read().split()]
-best = {}
-for _ in range(runs):
-    spent = {}
-    for g in graphs:
-        start = time.perf_counter()
-        reason = _verdict_for(g, split_partition(g), False, witness).reason
-        row = spent.setdefault(reason, [0, 0.0])
-        row[0] += 1
-        row[1] += time.perf_counter() - start
-    for reason, (count, seconds) in spent.items():
-        old = best.get(reason, (count, seconds))
-        best[reason] = (count, min(old[1], seconds))
-print(json.dumps({r: {"count": c, "seconds": round(s, 4)} for r, (c, s) in best.items()}))
+spent = {}
+for g in graphs:
+    start = time.perf_counter()
+    reason = _verdict_for(g, split_partition(g), False, witness).reason
+    row = spent.setdefault(reason, [0, 0.0])
+    row[0] += 1
+    row[1] += time.perf_counter() - start
+print(json.dumps(spent))
 """
 
 
@@ -91,7 +92,7 @@ def split_oracle_corpus() -> list[str]:
     split partition, reduction and G-decomposition of this tree."""
     from wordrep.graphs import Graph, write_graph6
     from wordrep.orient import find_transitive_orientation
-    from wordrep.split import _reduce_with_map, split_partition
+    from wordrep.split import _reduce, split_partition
 
     lines = []
     for seed in (1, 2):
@@ -106,7 +107,7 @@ def split_oracle_corpus() -> list[str]:
                 for w in range(m, n):
                     edges += [(perm[c], perm[w]) for c in rng.sample(range(m), rng.randint(2, m - 1))]
                 g = Graph(n, edges)
-                rsp, _ = _reduce_with_map(split_partition(g))
+                rsp = _reduce(split_partition(g))
                 reduced = rsp.graph
                 if (rsp.m >= 5 and find_transitive_orientation(reduced) is None
                         and any(reduced.degree(v) > 2 for v in rsp.independent)):
@@ -117,6 +118,7 @@ def split_oracle_corpus() -> list[str]:
 
 def workloads() -> dict[str, tuple[list[str] | None, bool]]:
     """name -> (graph6 lines, or None for the census; with --witness?)"""
+    sys.dont_write_bytecode = True  # the imports below read the change's tree
     sys.path[:0] = [str(ROOT / "wrbench"), str(ROOT / "src")]
     from corpus import graph_corpus
 
@@ -134,34 +136,38 @@ def cli_seconds(env: dict, lines: list[str] | None, witness: bool) -> float:
     else:
         argv, stdin = ["classify", "--json"] + ["--witness"] * witness, "\n".join(lines) + "\n"
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-S", "-c", CLI, *argv], input=stdin, text=True, env=env,
-                   check=True, stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-S", "-B", "-c", CLI, *argv], input=stdin, text=True,
+                   env=env, check=True, stdout=subprocess.DEVNULL)
     return time.perf_counter() - start
 
 
+def route_seconds(env: dict, stdin: str, witness: bool, source: str) -> dict[str, list]:
+    """reason -> [verdicts, seconds] from one ``ROUTES`` process."""
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", ROUTES, str(int(witness)), source],
+                          input=stdin, text=True, env=env, check=True, capture_output=True)
+    return json.loads(done.stdout)
+
+
 def measure(trees: dict[str, Path]) -> dict[str, dict]:
-    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    envs = {label: dict(base, PYTHONPATH=str(src)) for label, src in trees.items()}
     rows: dict[str, dict] = {label: {} for label in trees}
-    for name, (lines, witness) in workloads().items():
-        source = "census" if lines is None else "stdin"
-        stdin = "" if lines is None else "\n".join(lines) + "\n"
-        walls: dict[str, list[float]] = {label: [] for label in trees}
-        for _ in range(RUNS):
-            for label, env in envs.items():
-                walls[label].append(cli_seconds(env, lines, witness))
-        for label, env in envs.items():
-            done = subprocess.run([sys.executable, "-S", "-c", ROUTES, str(RUNS),
-                                   str(int(witness)), source], input=stdin, text=True, env=env,
-                                  check=True, capture_output=True)
-            routes = json.loads(done.stdout)
-            rows[label][name] = {
-                "graphs": sum(r["count"] for r in routes.values()),
-                "cli_s": round(min(walls[label]), 3),
-                "classify_s": round(sum(r["seconds"] for r in routes.values()), 3),
-                "routes": dict(sorted(routes.items())),
-            }
-            print(label, name, json.dumps(rows[label][name]), flush=True)
+    with tempfile.TemporaryDirectory() as cache:
+        envs = tree_envs(trees, cache)
+        for name, (lines, witness) in workloads().items():
+            source = "census" if lines is None else "stdin"
+            stdin = "" if lines is None else "\n".join(lines) + "\n"
+            walls = interleaved(envs, RUNS, lambda env: cli_seconds(env, lines, witness))
+            passes = interleaved(envs, RUNS, lambda env: route_seconds(env, stdin, witness, source))
+            for label in envs:
+                routes = {reason: {"count": count,
+                                   "seconds": round(min(p[reason][1] for p in passes[label]), 4)}
+                          for reason, (count, _) in passes[label][0].items()}
+                rows[label][name] = {
+                    "graphs": sum(r["count"] for r in routes.values()),
+                    "cli_s": round(min(walls[label]), 3),
+                    "classify_s": round(sum(r["seconds"] for r in routes.values()), 3),
+                    "routes": dict(sorted(routes.items())),
+                }
+                print(label, name, json.dumps(rows[label][name]), flush=True)
     return rows
 
 

@@ -31,15 +31,13 @@ It writes ``BENCH_enumeration.json`` at the root of the repository:
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 import tempfile
 import time
-from collections.abc import Callable
 from pathlib import Path
 
-from report import ROOT, main
+from report import ROOT, interleaved, main, tree_envs
 
 OUT = ROOT / "BENCH_enumeration.json"
 RUNS = 5
@@ -83,24 +81,10 @@ def represent_seconds(env: dict, g6: str) -> float:
     return time.perf_counter() - start
 
 
-def interleaved(envs: dict[str, dict], runs: int, run: Callable[[dict], object]) -> dict[str, list]:
-    """``runs`` results of ``run(env)`` per tree, the trees taking turns
-    and the first place alternating from one round to the next."""
-    out: dict[str, list] = {label: [] for label in envs}
-    for i in range(runs):
-        for label in list(envs)[:: 1 if i % 2 == 0 else -1]:
-            out[label].append(run(envs[label]))
-    return out
-
-
 def measure(trees: dict[str, Path]) -> dict[str, dict]:
-    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     rows: dict[str, dict] = {label: {} for label in trees}
     with tempfile.TemporaryDirectory() as cache:
-        envs = {label: dict(base, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=f"{cache}/{label}")
-                for label, src in trees.items()}
-        for env in envs.values():
-            subprocess.run([sys.executable, "-S", "-c", "import wordrep.cli"], env=env, check=True)
+        envs = tree_envs(trees, cache)
         for n, runs in ((6, RUNS), (7, RUNS), (8, RUNS), (9, RUNS_9)):
             for label, got in interleaved(envs, runs, lambda env: catalog_run(env, n)).items():
                 rows[label][f"catalog_{n}"] = min(seconds for seconds, _ in got)

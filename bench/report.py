@@ -12,10 +12,35 @@ import argparse
 import json
 import os
 import platform
+import subprocess
+import sys
 from collections.abc import Callable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def tree_envs(trees: dict[str, Path], cache: str) -> dict[str, dict]:
+    """One environment per tree: its ``src/`` on ``PYTHONPATH`` and its
+    own ``PYTHONPYCACHEPREFIX`` under ``cache``, which one untimed import
+    of ``wordrep.cli`` fills.  Runs under ``python3 -B`` then read warm
+    bytecode, and no run writes under ``src/``."""
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    envs = {label: dict(base, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=f"{cache}/{label}")
+            for label, src in trees.items()}
+    for env in envs.values():
+        subprocess.run([sys.executable, "-S", "-c", "import wordrep.cli"], env=env, check=True)
+    return envs
+
+
+def interleaved(envs: dict[str, dict], runs: int, run: Callable[[dict], object]) -> dict[str, list]:
+    """``runs`` results of ``run(env)`` per tree, the trees taking turns
+    and the first place alternating from one round to the next."""
+    out: dict[str, list] = {label: [] for label in envs}
+    for i in range(runs):
+        for label in list(envs)[:: 1 if i % 2 == 0 else -1]:
+            out[label].append(run(envs[label]))
+    return out
 
 
 def main(doc: str, out: Path, method: str, measure: Callable[[dict[str, Path]], dict]) -> int:

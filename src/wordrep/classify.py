@@ -3,18 +3,20 @@ forbidden-subgraph characterizations of word-representable split
 graphs.
 
 ``classify_graph`` is the one route every verdict takes, and one ladder
-decides it.  A split graph is reduced first.  Clique size at most three
-(split graphs only) or a transitive orientation means representable;
-for split graphs the degree-two characterization (avoid T2 and every
-A_l, read off the cover graph; the generic scan ``find_a_ell`` is the
-tests' oracle) or the clique-four one (avoid T1-T4) decides next.  Past
-those, a vertex whose neighbourhood is not a comparability graph rules
-representability out (Halldórsson–Kitaev–Pyatkin, *Semi-transitive
-orientations and word-representable graphs*, DAM 2016), with a forcing
-chain as witness, and the exhaustive orientation search decides the
-rest.  Under verify=True every verdict the search of the input did not
-give is checked against it; a disagreement raises, because it would
-falsify one of the encoded theorems.
+decides it.  A split graph is reduced first, its dropped vertices left
+isolated, so every witness is in the input's labels.  Clique size at
+most three (split graphs only) or a transitive orientation means
+representable; for split graphs the degree-two characterization (avoid
+T2 and every A_l, read off the cover graph; the generic scan
+``find_a_ell`` is the tests' oracle) or the clique-four one (avoid
+T1-T4) decides next.  Past those, a vertex whose neighbourhood is not a
+comparability graph rules representability out (Halldórsson–Kitaev–
+Pyatkin, *Semi-transitive orientations and word-representable graphs*,
+DAM 2016), with a forcing chain as witness, and the exhaustive
+orientation search decides the rest.  Under verify=True every verdict
+the search of the input did not give is checked against it; a
+disagreement raises, because it would falsify one of the encoded
+theorems.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .orient import (
     forcing_chain,
     orientation_bits,
 )
-from .split import SplitPartition, _reduce_with_map, split_partition
+from .split import SplitPartition, _reduce, split_partition
 
 REASON_CLIQUE_LE_3 = "CLIQUE_LE_3"
 REASON_COMPARABILITY = "COMPARABILITY"
@@ -181,10 +183,11 @@ def classify_graph(
 ) -> Verdict:
     """Classify g, given its split partition (None when g is not split).
 
-    A split graph is reduced first.  One ladder then runs on h, the
-    reduced graph, or g itself when g is not split or nothing was
-    reduced: CLIQUE_LE_3 (split, clique size at most three),
-    COMPARABILITY, THEOREM_MAIN1 and THEOREM_MAIN2 (split only),
+    A split graph is reduced first, to h: g with the edges of every
+    dropped vertex removed, in g's labels, with its one split partition.
+    One ladder then runs on h, or on g itself when g is not split or
+    nothing was dropped: CLIQUE_LE_3 (split, clique size at most
+    three), COMPARABILITY, THEOREM_MAIN1 and THEOREM_MAIN2 (split only),
     NEIGHBOURHOOD, then ORACLE_SEARCH.  want_witness=True attaches to a
     representable verdict the orientation its deciding stage found when
     that stage ran on g, and otherwise that of one search of g.
@@ -193,7 +196,7 @@ def classify_graph(
     """
     h, og = g, None
     if sp is not None:
-        sp, labels = _reduce_with_map(sp)
+        sp = _reduce(sp)
         h = sp.graph
     if sp is not None and sp.m <= 3:
         verdict = Verdict(True, REASON_CLIQUE_LE_3)
@@ -209,7 +212,7 @@ def classify_graph(
             og = find_semi_transitive_orientation(h)
             verdict = Verdict(og is not None, REASON_ORACLE)
     if h is not g:
-        verdict, og = _relabel(verdict, labels), None
+        og = None  # an orientation of h leaves out the dropped edges
     # one search of g, unless it gave the verdict already
     if (h is not g or verdict.reason != REASON_ORACLE) and (
         verify or want_witness and verdict.representable and og is None
@@ -243,16 +246,3 @@ def _neighbourhood_verdict(g: Graph) -> Verdict | None:
             chain = tuple((nbrs[a], nbrs[b]) for a, b in chain)
             return Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(v, chain))
     return None
-
-
-def _relabel(verdict: Verdict, labels: tuple[int, ...]) -> Verdict:
-    """Map a witness found in the reduced graph back to input labels."""
-    if verdict.witness_pattern is not None:
-        name, emb = verdict.witness_pattern
-        lifted = Embedding(tuple(labels[w] for w in emb.mapping))
-        return verdict._replace(witness_pattern=(name, lifted))
-    if verdict.witness_chain is not None:
-        v, chain = verdict.witness_chain
-        lifted = tuple((labels[a], labels[b]) for a, b in chain)
-        return verdict._replace(witness_chain=(labels[v], lifted))
-    return verdict

@@ -7,8 +7,9 @@ Simeone); the forbidden-subgraph characterisation is the test suite's
 oracle for it.  Whether a split graph is a comparability graph is
 decided by the G-decomposition in ``orient``; the scan for the
 forbidden induced subgraphs B1-B3 is the tests' oracle for that.  The
-reduction moves that keep word-representability (``_reduce_with_map``)
-are internal: ``classify`` decides a split graph on its reduced form.
+reduction moves that keep word-representability (``_reduce``) are
+internal: ``classify`` decides a split graph on its reduced form, g
+with every dropped vertex isolated, partitioned once.
 Under any semi-transitive orientation the clique is
 oriented transitively, fixing a Hamiltonian directed path through it,
 and every independent vertex falls into one of three patterns relative
@@ -99,31 +100,23 @@ def is_split(g: Graph) -> bool:
 # vertices with identical neighbourhoods.
 
 
-def _reduce_with_map(sp: SplitPartition) -> tuple[SplitPartition, tuple[int, ...]]:
-    """Reduce to a fixpoint; returns (partition of the reduced graph,
-    original labels of the surviving vertices in ascending order)."""
-    labels = list(range(sp.graph.n))
-    while True:
-        cur = sp.graph
-        drop = None
-        for v in sp.independent:
-            if cur.degree(v) <= 1:
-                drop = v
-                break
-        if drop is None:
-            for u in range(cur.n):
-                row = cur.adj[u]
-                for v in range(u + 1, cur.n):
-                    if cur.adj[v] == row:  # equal open neighbourhoods
-                        drop = v
-                        break
-                if drop is not None:
-                    break
-        if drop is None:
-            return sp, tuple(labels)
-        sp = split_partition(cur.delete_vertex(drop))
-        assert sp is not None, "deleting a vertex keeps a graph split"
-        del labels[drop]
+def _reduce(sp: SplitPartition) -> SplitPartition:
+    """The partition of h, g reduced in one pass: drop each independent
+    vertex of degree at most one, then all but the least of each class
+    of other vertices with equal neighbours outside those.  A dropped
+    vertex keeps its label and loses its edges.  Pendants go first
+    because dropping one can make twins; dropping a twin makes neither.
+    Returns sp itself when nothing is dropped."""
+    g = sp.graph
+    low = sum(1 << v for v in sp.independent if g.degree(v) <= 1)
+    least = {}  # neighbours outside low -> the least vertex with them
+    for v in _bits(~low & ((1 << g.n) - 1)):
+        least.setdefault(g.adj[v] & ~low, v)
+    if len(least) == g.n:
+        return sp
+    keep = sum(1 << v for v in least.values())
+    adj = tuple(row & keep if keep >> v & 1 else 0 for v, row in enumerate(g.adj))
+    return split_partition(Graph._from_adj(g.n, adj))
 
 
 def is_split_comparability(g: Graph) -> bool:

@@ -42,7 +42,7 @@ from wordrep.orient import (
     is_transitive,
     orientation_bits,
 )
-from wordrep.split import _reduce_with_map, split_partition
+from wordrep.split import _reduce, split_partition
 from conftest import EXHAUSTIVE, random_split_graph
 
 
@@ -293,17 +293,22 @@ def test_verdict_record():
 
 
 def test_classify_split_witness_maps_to_input_labels():
-    # pad T1 with an isolated vertex at label 0 so reduction relabels
+    # pad T1 before its labels with an isolated vertex, and with a
+    # pendant (0, on clique vertex 1 of T1) and a false twin (1, of
+    # independent vertex 0 of T1), whose edges reduction drops
     t1 = families.named("T1")
-    padded = Graph(8, [(u + 1, v + 1) for u, v in t1.edges()])
-    v = classify_split(padded, verify=True)
-    assert not v.representable
-    name, emb = v.witness_pattern
-    assert 0 not in emb.mapping  # the isolated pad cannot appear
-    pattern = (
-        families.a_graph(int(name[2:])) if name.startswith("A_") else families.named(name)
-    )
-    assert is_isomorphic(induced_subgraph(padded, emb.image()), pattern)
+    isolated = Graph(8, [(u + 1, v + 1) for u, v in t1.edges()])
+    shifted = [(u + 2, v + 2) for u, v in t1.edges()]
+    pendant_twin = Graph(9, shifted + [(0, 3), (1, 3), (1, 4)])
+    for padded in (isolated, pendant_twin):
+        v = classify_split(padded, verify=True)
+        assert not v.representable
+        name, emb = v.witness_pattern
+        assert 0 not in emb.mapping  # the isolated or pendant pad cannot appear
+        pattern = (
+            families.a_graph(int(name[2:])) if name.startswith("A_") else families.named(name)
+        )
+        assert is_isomorphic(induced_subgraph(padded, emb.image()), pattern)
 
 
 def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
@@ -332,7 +337,7 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
     # a comparability graph that reduction leaves whole: the transitive
     # orientation is the witness, and verify alone searches g
     k4 = families.complete(4)
-    assert _reduce_with_map(split_partition(k4))[0].graph == k4
+    assert _reduce(split_partition(k4)).graph is k4
     calls.clear()
     v = classify_split(k4, want_witness=True)
     assert v.reason == REASON_COMPARABILITY and calls == []
@@ -395,26 +400,29 @@ def test_pipeline_agrees_with_the_engine_and_every_certificate_checks():
                 assert is_semi_transitive(v.witness_orientation)
                 # the transitive orientation is the witness whenever
                 # reduction removed nothing
-                whole = sp is None or _reduce_with_map(sp)[0].graph.n == g.n
+                whole = sp is None or _reduce(sp).graph is g
                 if whole and v.reason == REASON_COMPARABILITY:
                     assert is_transitive(v.witness_orientation)
     assert {REASON_COMPARABILITY, REASON_NEIGHBOURHOOD, REASON_ORACLE} <= reasons
 
 
 def test_split_neighbourhood_chain_maps_to_input_labels():
-    # a split graph past both characterizations, with an isolated pad
-    # at label 0 so that reduction relabels
+    # a split graph past both characterizations, padded before its
+    # labels with an isolated vertex, and with a pendant (0, on clique
+    # vertex 7 of the core) and a false twin (1, of independent vertex 1
+    # of the core), whose edges reduction drops
     core = parse_graph6("G?z\\~{")
     padded = Graph(core.n + 1, [(a + 1, b + 1) for a, b in core.edges()])
-    for g in (core, padded):
+    shifted = [(a + 2, b + 2) for a, b in core.edges()]
+    pendant_twin = Graph(core.n + 2, shifted + [(0, 9), (1, 6), (1, 7), (1, 9)])
+    for g in (core, padded, pendant_twin):
         v = classify_split(g, verify=True)
         assert not v.representable and v.reason == REASON_NEIGHBOURHOOD
         assert is_forcing_chain(g, *v.witness_chain)
         vertex, chain = v.witness_chain
         assert v.to_json()["witness"] == {"vertex": vertex, "chain": [list(a) for a in chain]}
-    assert classify_split(padded).witness_chain == classify_graph(
-        padded, split_partition(padded)
-    ).witness_chain
+    for g in (padded, pendant_twin):
+        assert classify_split(g).witness_chain == classify_graph(g, split_partition(g)).witness_chain
 
 
 def test_verify_rechecks_non_split_certificates(monkeypatch, tmp_path, capsys):
