@@ -49,6 +49,9 @@ CASES = {
     "orient_fix_one_arc_count": ("k_triangle3.g6", ["orient", "--count", "--fix", "3>0"]),
     "orient_fix_one_arc_all": ("k_triangle3.g6", ["orient", "--all", "--fix", "3>0"]),
     "orient_bits": ("t3.g6", ["orient", "--bits", "000000000000001", "--dot", "--classify-types"]),
+    "generate_k_l_k_7_3_orientation": (None, ["generate", "K_L_K", "7", "3", "--orientation"]),
+    "generate_k_l_k_5_1_orientation": (None, ["generate", "K_L_K", "5", "1", "--orientation"]),
+    "generate_k_triangle_6_orientation": (None, ["generate", "K_TRIANGLE", "6", "--orientation"]),
     "census_6": (None, ["census", "6"]),
     "census_7_split_json": (None, ["census", "7", "--filter", "split", "--json"]),
 }
