@@ -13,10 +13,11 @@ T1-T4) decides next.  Past those, a vertex whose neighbourhood is not a
 comparability graph rules representability out (Halldórsson–Kitaev–
 Pyatkin, *Semi-transitive orientations and word-representable graphs*,
 DAM 2016), with a forcing chain as witness, and the exhaustive
-orientation search decides the rest.  Under verify=True every verdict
-the search of the input did not give is checked against it; a
-disagreement raises, because it would falsify one of the encoded
-theorems.
+orientation search decides the rest.  A representable verdict's
+orientation comes from the rung that decided it, lifted from the
+reduced graph to the input.  Under verify=True every verdict the search
+of the input did not give is checked against it; a disagreement raises,
+because it would falsify one of the encoded theorems.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .orient import (
     forcing_chain,
     orientation_bits,
 )
-from .split import SplitPartition, _reduce, split_partition
+from .split import SplitPartition, _lift, _orient_along, _reduce, split_partition
 
 REASON_CLIQUE_LE_3 = "CLIQUE_LE_3"
 REASON_COMPARABILITY = "COMPARABILITY"
@@ -115,12 +116,11 @@ def classify_degree_two(sp: SplitPartition) -> Verdict:
     are word-representable iff they avoid T2 and every A_l as induced
     subgraphs.
 
-    Both patterns are read off the cover graph H on the clique: one
-    edge {a, b} per distinct neighbourhood of a degree-2 independent
-    vertex.  T2 is induced iff some clique vertex lies on three edges
-    of H.  Otherwise H is a union of paths and cycles, and A_l is
-    induced iff H has a cycle of length l-1 < m; any clique vertex off
-    the cycle is an apex.  Sound because every pattern vertex of degree
+    Both patterns are read off the cover graph H (``_cover_walk``).  T2
+    is induced iff some clique vertex lies on three edges of H.
+    Otherwise H is a union of paths and cycles, and A_l is induced iff
+    H has a cycle of length l-1 < m; any clique vertex off the cycle is
+    an apex.  Sound because every pattern vertex of degree
     three or more lands on a clique vertex (independent ones have
     degree at most two), and every pattern cover misses some pattern
     clique vertex, so it lands on an independent vertex whose
@@ -131,27 +131,11 @@ def classify_degree_two(sp: SplitPartition) -> Verdict:
     g = sp.graph
     if any(g.degree(v) > 2 for v in sp.independent):
         raise ValueError("an independent vertex has degree above two")
-    cover = [0] * g.n  # cover[a] masks a's neighbours in H
-    for pair in {g.adj[p] for p in sp.independent if g.degree(p) == 2}:
-        a, b = _bits(pair)
-        cover[a] |= 1 << b
-        cover[b] |= 1 << a
-    if any(row.bit_count() >= 3 for row in cover):
+    walk = _cover_walk(sp)
+    if walk is None:
         name, pattern = "T2", families.named("T2")
     else:
-        # H is a union of paths and cycles: a component is a cycle when
-        # all its vertices lie on two edges, and a cycle through all m
-        # clique vertices leaves no apex
-        lengths = [sp.m]
-        for v in sp.clique:
-            comp, grown = 0, 1 << v
-            while grown != comp:
-                comp = grown
-                for u in _bits(comp):
-                    grown |= cover[u]
-            if all(cover[u].bit_count() == 2 for u in _bits(comp)):
-                lengths.append(comp.bit_count())
-        r = min(lengths)
+        r = min(walk[1], default=sp.m)
         if r == sp.m:
             return Verdict(True, REASON_MAIN1)
         name, pattern = f"A_{r + 1}", families.a_graph(r + 1)
@@ -159,6 +143,31 @@ def classify_degree_two(sp: SplitPartition) -> Verdict:
     if emb is None:
         raise OracleDisagreement(f"cover graph names {name} but it is not induced in {g!r}")
     return Verdict(False, REASON_MAIN1, witness_pattern=(name, emb))
+
+
+def _cover_walk(sp: SplitPartition) -> tuple[list[int], list[int]] | None:
+    """The cover graph H has one edge {a, b} per distinct neighbourhood
+    of a degree-2 independent vertex.  None when a clique vertex lies on
+    three edges of H; else the clique walked along H's paths from their
+    ends, then along its cycles, and the cycles' lengths."""
+    g = sp.graph
+    cover = [0] * g.n  # cover[a] masks a's neighbours in H
+    for pair in {g.adj[p] for p in sp.independent if g.degree(p) == 2}:
+        a, b = _bits(pair)
+        cover[a] |= 1 << b
+        cover[b] |= 1 << a
+    if any(row.bit_count() >= 3 for row in cover):
+        return None
+    path, lengths, seen = [], [], 0
+    for v in sorted(sp.clique, key=lambda v: cover[v].bit_count() == 2):
+        first = len(path)
+        while v >= 0 and not seen >> v & 1:
+            seen |= 1 << v
+            path.append(v)
+            v = min(_bits(cover[v] & ~seen), default=-1)
+        if len(path) > first and cover[path[first]].bit_count() == 2:
+            lengths.append(len(path) - first)
+    return path, lengths
 
 
 def classify_clique_four(sp: SplitPartition) -> Verdict:
@@ -183,18 +192,16 @@ def classify_graph(
 ) -> Verdict:
     """Classify g, given its split partition (None when g is not split).
 
-    A split graph is reduced first, to h: g with the edges of every
-    dropped vertex removed, in g's labels, with its one split partition.
-    One ladder then runs on h, or on g itself when g is not split or
-    nothing was dropped: CLIQUE_LE_3 (split, clique size at most
-    three), COMPARABILITY, THEOREM_MAIN1 and THEOREM_MAIN2 (split only),
-    NEIGHBOURHOOD, then ORACLE_SEARCH.  want_witness=True attaches to a
-    representable verdict the orientation its deciding stage found when
-    that stage ran on g, and otherwise that of one search of g.
+    A split graph is reduced first, to h: g in its own labels with the
+    edges of every dropped vertex removed.  One ladder then runs on h (on
+    g itself when g is not split or nothing was dropped): CLIQUE_LE_3,
+    COMPARABILITY, THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD, then
+    ORACLE_SEARCH.  want_witness=True attaches to a representable
+    verdict the deciding rung's orientation of h, lifted to g.
     verify=True re-decides every verdict the search of g did not give by
     that same search, and raises OracleDisagreement on a mismatch.
     """
-    h, og = g, None
+    h, og, whole = g, None, sp
     if sp is not None:
         sp = _reduce(sp)
         h = sp.graph
@@ -211,20 +218,19 @@ def classify_graph(
         if verdict is None:
             og = find_semi_transitive_orientation(h)
             verdict = Verdict(og is not None, REASON_ORACLE)
-    if h is not g:
-        og = None  # an orientation of h leaves out the dropped edges
-    # one search of g, unless it gave the verdict already
-    if (h is not g or verdict.reason != REASON_ORACLE) and (
-        verify or want_witness and verdict.representable and og is None
-    ):
-        found = find_semi_transitive_orientation(g)
-        if (found is not None) != verdict.representable:
-            raise OracleDisagreement(
-                f"classification disagrees with the orientation oracle on "
-                f"{g!r}: {verdict.reason} said {verdict.representable}"
-            )
-        og = found if og is None else og
-    return verdict._replace(witness_orientation=og) if want_witness else verdict
+    # verify: one search of g, unless it gave the verdict already
+    if verify and (h is not g or verdict.reason != REASON_ORACLE) and (
+            (find_semi_transitive_orientation(g) is not None) != verdict.representable):
+        raise OracleDisagreement(f"classification disagrees with the orientation oracle on "
+                                 f"{g!r}: {verdict.reason} said {verdict.representable}")
+    if not (want_witness and verdict.representable):
+        return verdict
+    # witness: the deciding rung's orientation of h, lifted to g
+    if verdict.reason in (REASON_CLIQUE_LE_3, REASON_MAIN1):  # m <= 3: any order will do
+        og = _orient_along(h, sp.clique if sp.m <= 3 else _cover_walk(sp)[0])
+    elif verdict.reason == REASON_MAIN2:
+        og = find_semi_transitive_orientation(h)
+    return verdict._replace(witness_orientation=og if h is g else _lift(whole, og))
 
 
 def classify_split(g: Graph, *, verify: bool = False, want_witness: bool = False) -> Verdict:

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from .graphs import Graph
 from .orient import OrientedGraph
+from .split import _orient_along
 from .words import Word
 
 
@@ -53,13 +54,9 @@ def k_triangle(l: int) -> Graph:
 
 
 def k_triangle_canonical_orientation(l: int) -> OrientedGraph:
-    """The standard semi-transitive orientation of k_triangle(l): the
-    clique runs 0 -> 1 -> ... -> l-1, attachment vertices l+i for
-    i < l-1 are sinks (i -> l+i and i+1 -> l+i), and the last one is
-    threaded 0 -> 2l-1 -> l-1.  This is k_ell_k_canonical_orientation(l, 2)."""
-    if l < 3:
-        raise ValueError("k_triangle needs l >= 3")
-    return k_ell_k_canonical_orientation(l, 2)
+    """k_ell_k_canonical_orientation(l, 2): the clique runs 0 -> ... ->
+    l-1, l+i is a sink for i < l-1, and 2l-1 is threaded 0 -> 2l-1 -> l-1."""
+    return _orient_along(k_triangle(l), range(l))
 
 
 def k_triangle_odd_word(l: int) -> Word:
@@ -100,17 +97,10 @@ def k_ell_k(l: int, k: int) -> Graph:
 
 
 def k_ell_k_canonical_orientation(l: int, k: int) -> OrientedGraph:
-    """Orientation of k_ell_k(l, k) with the clique run 0 -> ... -> l-1:
-    an independent vertex whose window does not wrap becomes a sink
-    (type B); a wrapping window splits into an incoming prefix from the
-    clique source side and an outgoing suffix into the sink side
-    (type C)."""
-    g = k_ell_k(l, k)
-    arcs = [(u, v) for u in range(l) for v in range(u + 1, l)]
-    for i, window in enumerate(_windows(l, k)):
-        wraps = i + k > l
-        arcs += [(l + i, c) if wraps and c >= i else (c, l + i) for c in window]
-    return OrientedGraph(g, arcs)
+    """k_ell_k(l, k) oriented along the clique path 0 -> ... -> l-1: a
+    window that does not wrap makes a sink (type B), a wrapping one a
+    type-C vertex, in from the prefix and out to the suffix."""
+    return _orient_along(k_ell_k(l, k), range(l))
 
 
 def cycle(m: int) -> Graph:

@@ -9,11 +9,11 @@ decided by the G-decomposition in ``orient``; the scan for the
 forbidden induced subgraphs B1-B3 is the tests' oracle for that.  The
 reduction moves that keep word-representability (``_reduce``) are
 internal: ``classify`` decides a split graph on its reduced form, g
-with every dropped vertex isolated, partitioned once.
-Under any semi-transitive orientation the clique is
-oriented transitively, fixing a Hamiltonian directed path through it,
-and every independent vertex falls into one of three patterns relative
-to that path:
+with every dropped vertex isolated, partitioned once, and ``_lift``
+carries its orientations back to g.  Under any semi-transitive
+orientation the clique is oriented transitively, fixing a Hamiltonian
+directed path through it, and every independent vertex falls into one
+of three patterns relative to that path:
 
   A - every edge leaves the vertex, into consecutive path positions;
   B - every edge enters the vertex, from consecutive path positions;
@@ -29,13 +29,14 @@ pass, taking each type-C vertex's groups as slices of the path;
 asks that the path exists, every vertex is typed and nothing violates.
 ``orient --classify-types`` prints the same reports and violations.  The
 test suite checks them against the direct shortcut search on every
-orientation.
+orientation.  ``_orient_along`` is the theorem's constructive half,
+the orientation along a given path with every vertex of type B or C.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .graphs import Graph, _bits
 from .orient import (
@@ -95,9 +96,16 @@ def is_split(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reduction moves that preserve word-representability: dropping
-# independent vertices of degree 0 or 1, and dropping one of two
-# vertices with identical neighbourhoods.
+# Reduction moves that preserve word-representability (dropping
+# independent vertices of degree 0 or 1, and all but one of a class of
+# twins), the lift back through them, and the orientation along a path.
+
+
+def _classes(sp: SplitPartition) -> list[int | None]:
+    """``_reduce``'s classes: each vertex's least class member, None at low vertices."""
+    g, least = sp.graph, {}
+    low = sum(1 << v for v in sp.independent if g.degree(v) <= 1)
+    return [None if low >> v & 1 else least.setdefault(r & ~low, v) for v, r in enumerate(g.adj)]
 
 
 def _reduce(sp: SplitPartition) -> SplitPartition:
@@ -108,15 +116,41 @@ def _reduce(sp: SplitPartition) -> SplitPartition:
     because dropping one can make twins; dropping a twin makes neither.
     Returns sp itself when nothing is dropped."""
     g = sp.graph
-    low = sum(1 << v for v in sp.independent if g.degree(v) <= 1)
-    least = {}  # neighbours outside low -> the least vertex with them
-    for v in _bits(~low & ((1 << g.n) - 1)):
-        least.setdefault(g.adj[v] & ~low, v)
-    if len(least) == g.n:
+    keep = sum(1 << v for v, r in enumerate(_classes(sp)) if r == v)
+    if keep.bit_count() == g.n:
         return sp
-    keep = sum(1 << v for v in least.values())
     adj = tuple(row & keep if keep >> v & 1 else 0 for v, row in enumerate(g.adj))
     return split_partition(Graph._from_adj(g.n, adj))
+
+
+def _lift(sp: SplitPartition, og: OrientedGraph) -> OrientedGraph:
+    """g's orientation from og, one of ``_reduce(sp).graph``: an edge at
+    a low vertex leaves it, as a source of degree one is on no cycle and
+    in no shortcut, and any other edge copies og's arc between the least
+    of its ends' classes, so a dropped twin copies its kept twin's arcs."""
+    rep = _classes(sp)
+    lifted = OrientedGraph._from_out(sp.graph, tuple(
+        row if rep[v] is None else
+        sum(1 << w for w in _bits(row) if rep[w] is not None and og.out[rep[v]] >> rep[w] & 1)
+        for v, row in enumerate(sp.graph.adj)))
+    assert is_semi_transitive(lifted)
+    return lifted
+
+
+def _orient_along(g: Graph, path: Sequence[int]) -> OrientedGraph:
+    """The theorem's constructive half: g's clique runs along path.  A
+    vertex whose neighbourhood is a run of path is a sink (type B); one
+    whose neighbourhood is a prefix plus a suffix is type C, ranked just
+    past the prefix.  Each edge leaves its lower rank."""
+    rank = {v: i for i, v in enumerate(path)}
+    for x in set(range(g.n)) - rank.keys():
+        pos = sum(1 << rank[c] for c in _bits(g.adj[x]))
+        end = pos + (pos & -pos)  # a power of two iff pos is a run
+        rank[x] = (pos ^ (pos + 1)).bit_length() - 1.5 if end & (end - 1) else len(path)
+    og = OrientedGraph._from_out(g, tuple(
+        sum(1 << w for w in _bits(row) if rank[w] > rank[v]) for v, row in enumerate(g.adj)))
+    assert is_semi_transitive(og)
+    return og
 
 
 def is_split_comparability(g: Graph) -> bool:

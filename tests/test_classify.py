@@ -16,6 +16,7 @@ from wordrep.classify import (
     REASON_NEIGHBOURHOOD,
     REASON_ORACLE,
     Verdict,
+    _cover_walk,
     classify_clique_four,
     classify_degree_two,
     classify_graph,
@@ -42,7 +43,16 @@ from wordrep.orient import (
     is_transitive,
     orientation_bits,
 )
-from wordrep.split import _reduce, split_partition
+from wordrep.split import (
+    KIND_B,
+    KIND_C,
+    _orient_along,
+    _reduce,
+    check_relative_order,
+    classify_all,
+    clique_path,
+    split_partition,
+)
 from conftest import EXHAUSTIVE, random_split_graph
 
 
@@ -334,6 +344,25 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
         v = classify_split(g, verify=True, want_witness=True)
         assert v.reason == reason and calls == [g]
         assert (v.witness_orientation is not None) == v.representable
+    # a pendant or a false twin pad on each rung: a witness alone makes
+    # no search of g, and THEOREM_MAIN2 searches h
+    b2, m6, m2 = families.named("B2"), families.named("M6"), families.named("M2")
+    for g, reason in (
+        (Graph(7, b2.edges() + [(1, 6)]), REASON_CLIQUE_LE_3),
+        (Graph(9, m6.edges() + [(c, 8) for c in m6.neighbors(4)]), REASON_COMPARABILITY),
+        (Graph(11, families.k_triangle(5).edges() + [(0, 10)]), REASON_MAIN1),
+        (Graph(10, m2.edges() + [(c, 9) for c in m2.neighbors(4)]), REASON_MAIN2),
+    ):
+        h = _reduce(split_partition(g)).graph
+        assert h != g
+        calls.clear()
+        v = classify_split(g, want_witness=True)
+        assert v.reason == reason and v.representable
+        assert calls == ([h] if reason == REASON_MAIN2 else [])
+        assert v.witness_orientation.base == g and is_semi_transitive(v.witness_orientation)
+        calls.clear()
+        v = classify_split(g, verify=True, want_witness=True)
+        assert calls.count(g) == 1 and len(calls) == (2 if reason == REASON_MAIN2 else 1)
     # a comparability graph that reduction leaves whole: the transitive
     # orientation is the witness, and verify alone searches g
     k4 = families.complete(4)
@@ -352,6 +381,71 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
     path.write_text(write_graph6(families.k_triangle(5)) + "\n")
     assert main(["classify", "--verify", str(path)]) == 3
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_split_witness_comes_from_the_deciding_rung(monkeypatch):
+    # every split class with n <= 8 and seeded random degree-two split
+    # graphs: the witness is an orientation of g that passes
+    # is_semi_transitive, and the engine sees only the reduced graph h,
+    # once, as ORACLE_SEARCH or for a representable THEOREM_MAIN2
+    import wordrep.classify as classify_mod
+
+    real = classify_mod.find_semi_transitive_orientation
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", counting)
+    local = random.Random(2000)
+    graphs = [g for n in range(9) for g in enumerate_graphs(n) if split_partition(g) is not None]
+    graphs += [_random_degree_two_split(local) for _ in range(2000)]
+    reasons = set()
+    for g in graphs:
+        sp = split_partition(g)
+        h = _reduce(sp).graph
+        calls.clear()
+        v = classify_graph(g, sp, want_witness=True)
+        reasons.add(v.reason)
+        assert calls in ([], [h]), g.edges()
+        if calls:
+            assert v.reason == REASON_ORACLE or v.reason == REASON_MAIN2 and v.representable
+        if v.representable:
+            assert v.witness_orientation.base == g, g.edges()
+            assert is_semi_transitive(v.witness_orientation), g.edges()
+        else:
+            assert v.witness_orientation is None
+    assert {REASON_CLIQUE_LE_3, REASON_COMPARABILITY, REASON_MAIN1, REASON_MAIN2} <= reasons
+
+
+def test_orient_along_the_cover_walk_round_trips_through_the_typing():
+    # the constructive half against the typing pass: laid along the
+    # cover graph's walk, the clique's path reads back as the walk, every
+    # vertex with a neighbour is a sink except the one closing a
+    # Hamiltonian cover cycle, and no relative order is violated
+    hosts = [families.k_triangle(l) for l in range(3, 13)]
+    for n in range(9):
+        for g in enumerate_graphs(n):
+            sp = split_partition(g)
+            if sp is not None:
+                v = classify_graph(g, sp)
+                if v.reason == REASON_MAIN1 and v.representable:
+                    hosts.append(_reduce(sp).graph)
+    assert len(hosts) > 10
+    for h in hosts:
+        sp = split_partition(h)
+        path, _ = _cover_walk(sp)
+        og = _orient_along(h, path)
+        assert clique_path(sp, og) == tuple(path)
+        wrap = (1 << path[0]) | (1 << path[-1])
+        reports = classify_all(sp, og)
+        for r in reports:
+            if h.adj[r.vertex]:
+                assert r.kind == (KIND_C if h.adj[r.vertex] == wrap else KIND_B), h.edges()
+        assert check_relative_order(sp, reports) == []
+    # the canonical K_TRIANGLE orientation is the one along its walk
+    assert _cover_walk(split_partition(families.k_triangle(6)))[0] == list(range(6))
 
 
 def test_classify_split_agrees_with_oracle():
