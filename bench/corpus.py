@@ -16,8 +16,9 @@ Workloads:
 - ``split_fastpath_1``: the benchmark's ``split_fastpath`` corpus at
   seed 1, 804 split graphs that clique size, a transitive orientation
   or the two split theorems decide, classified with ``--witness``.  A
-  representable verdict whose graph reduction shrank takes one search
-  of the input graph for its witness, which this workload prices;
+  representable verdict's witness is the deciding rung's orientation of
+  the reduced graph, lifted to the input; only a ``THEOREM_MAIN2``
+  witness takes a search, of the reduced graph, which has m = 4;
 - ``census_8_connected``: the 11117 connected classes on 8 vertices,
   without witnesses.
 

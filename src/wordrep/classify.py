@@ -120,13 +120,12 @@ def classify_degree_two(sp: SplitPartition) -> Verdict:
     is induced iff some clique vertex lies on three edges of H.
     Otherwise H is a union of paths and cycles, and A_l is induced iff
     H has a cycle of length l-1 < m; any clique vertex off the cycle is
-    an apex.  Sound because every pattern vertex of degree
-    three or more lands on a clique vertex (independent ones have
-    degree at most two), and every pattern cover misses some pattern
-    clique vertex, so it lands on an independent vertex whose
-    neighbourhood is exactly its two pattern neighbours.  One induced
-    search then finds the lexicographically least embedding of the
-    pattern the rule named.
+    an apex.  Sound because every pattern vertex of degree three or
+    more lands on a clique vertex (independent ones have degree at most
+    two), and every pattern cover misses some pattern clique vertex, so
+    it lands on an independent vertex whose neighbourhood is exactly
+    its two pattern neighbours.  One induced search then finds the
+    lexicographically least embedding of the pattern the rule named.
     """
     g = sp.graph
     if any(g.degree(v) > 2 for v in sp.independent):
