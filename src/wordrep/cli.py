@@ -70,9 +70,8 @@ def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
     errors = 0
     for path in paths or ["-"]:
         try:
-            if path == "-":  # a StringIO standing in for stdin has no buffer
-                stdin = sys.stdin
-                data = stdin.buffer.read() if hasattr(stdin, "buffer") else stdin.read().encode()
+            if path == "-":
+                data = sys.stdin.buffer.read()
             else:
                 with open(path, "rb") as handle:
                     data = handle.read()

@@ -115,14 +115,6 @@ def complete(n: int) -> Graph:
     return _split(n, ())
 
 
-def empty(n: int) -> Graph:
-    return Graph(n)
-
-
-def two_k2() -> Graph:
-    return named("TWO_K2")
-
-
 # ---------------------------------------------------------------------------
 # The registry.  T1-T3 are the three minimal non-word-representable split
 # graphs on 7 vertices, T4 the minimal one on 8 with clique size 4; W5 (C5
@@ -197,7 +189,7 @@ _TABLE = {
     "K_L_K": _Family(k_ell_k, 2, k_ell_k_canonical_orientation),
     "C": _Family(cycle, 1),
     "K": _Family(complete, 1),
-    "EMPTY": _Family(empty, 1),
+    "EMPTY": _Family(Graph, 1),
 }
 
 

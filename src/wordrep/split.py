@@ -264,19 +264,6 @@ def classify_all(sp: SplitPartition, og: OrientedGraph) -> list[VertexTypeReport
     return reports
 
 
-def classify_vertex(
-    sp: SplitPartition, og: OrientedGraph, x: int
-) -> VertexTypeReport:
-    """Type report for independent vertex x under og.
-
-    Raises when the clique is not transitively oriented or x is not an
-    independent vertex of the partition.
-    """
-    if x not in sp.independent:
-        raise ValueError(f"vertex {x} is not in the independent set")
-    return classify_all(sp, og)[sp.independent.index(x)]
-
-
 def check_relative_order(
     sp: SplitPartition, reports: Iterable[VertexTypeReport]
 ) -> list[OrderViolation]:
@@ -321,7 +308,9 @@ def toggle_ab(sp: SplitPartition, og: OrientedGraph, x: int) -> OrientedGraph:
     """
     if not is_semi_transitive(og):
         raise ValueError("orientation is not semi-transitive")
-    report = classify_vertex(sp, og, x)
+    if x not in sp.independent:
+        raise ValueError(f"vertex {x} is not in the independent set")
+    report = classify_all(sp, og)[sp.independent.index(x)]
     if report.kind not in (KIND_A, KIND_B):
         raise ValueError(f"vertex {x} has type {report.kind}, need A or B")
     flipped = og.reversed_at(x)

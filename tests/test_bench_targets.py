@@ -48,3 +48,17 @@ def test_cli_import_path():
     loaded = set(out.stdout.split())
     assert {"dataclasses", "typing", "inspect"} & loaded == set()
     assert {f"wordrep.{module}" for module, _ in _targets()} <= loaded
+
+
+def test_package_import_loads_no_submodule():
+    """``import wordrep`` re-exports nothing: each name is imported from
+    the module that defines it, so the package root loads no submodule."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import wordrep; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('wordrep'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], check=True, capture_output=True, text=True
+    )
+    assert out.stdout.split() == ["wordrep"]

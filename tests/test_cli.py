@@ -112,7 +112,8 @@ def test_parse_errors_name_the_file_and_its_own_line(tmp_path, capsys):
 
 
 def test_classify_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"{g6('K', 4)}\n\n\x01bogus\n{g6('W5')}\n"))
+    data = f"{g6('K', 4)}\n\n\x01bogus\n{g6('W5')}\n".encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code, out, err = run(capsys, "classify")
     assert code == 1
     lines = out.splitlines()
@@ -258,6 +259,25 @@ def test_census_stopped_early_reaps_its_workers(capsys, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["census", "6"])
     assert_no_child_left()
+
+
+def test_census_under_dev_mode_warns_nothing():
+    # Real forked workers and a real pipe: a worker pipe left open is a
+    # ResourceWarning, forking with threads a DeprecationWarning, and -W
+    # error turns either into a traceback on stderr.
+    cmd = [sys.executable, "-X", "dev", "-W", "error", "-m", "wordrep.cli", "census", "7"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([*cmd, "--json"], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout.splitlines()[-1])["classes"] == 1044
+    # -u: each line reaches the pipe as printed, so the reader's close
+    # lands while the census still runs and its next line meets EPIPE
+    reader = subprocess.Popen([cmd[0], "-u", *cmd[1:]], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env)
+    assert reader.stdout.readline().endswith(b"\tnon-representable\tsplit\n")
+    reader.stdout.close()
+    _, err = reader.communicate(timeout=120)
+    assert (reader.returncode, err) == (0, b"")
 
 
 @pytest.mark.skipif(not EXHAUSTIVE, reason="census 9 takes minutes; set WORDREP_EXHAUSTIVE=1")
@@ -530,7 +550,7 @@ def test_represent_check(tmp_path, capsys):
 
 
 def test_represent_check_rejects_a_bad_word_before_any_input(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"")))
     code, out, err = run(capsys, "represent", "--check", "01a")
     assert code == 1 and out == ""
     assert err == "cannot parse word '01a'\n"

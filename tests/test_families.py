@@ -95,8 +95,8 @@ def test_k_ell_k_canonical_orientation():
 def test_simple_families():
     assert families.cycle(5).degree_sequence() == (2, 2, 2, 2, 2)
     assert families.complete(4).edge_count == 6
-    assert families.empty(3).edge_count == 0
-    assert families.two_k2().degree_sequence() == (1, 1, 1, 1)
+    assert Graph(3).edge_count == 0
+    assert families.named("TWO_K2").degree_sequence() == (1, 1, 1, 1)
     assert families.named("W5").edge_count == 10
     with pytest.raises(ValueError):
         families.cycle(2)
@@ -122,7 +122,7 @@ def test_named_dispatch():
     assert families.named("K_TRIANGLE", 5) == families.k_triangle(5)
     assert families.named("C", 4) == families.cycle(4)
     assert families.named("K", 3) == families.complete(3)
-    assert families.named("EMPTY", 2) == families.empty(2)
+    assert families.named("EMPTY", 2) == Graph(2)
     with pytest.raises(ValueError):
         families.named("NOPE")
     with pytest.raises(ValueError):

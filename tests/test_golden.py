@@ -71,7 +71,7 @@ def input_graphs() -> dict[str, list[Graph]]:
     named += [families.k_ell_k(l, k) for l, k in ((4, 2), (5, 3), (6, 2), (7, 3))]
     named += [families.cycle(m) for m in range(3, 9)]
     named += [families.complete(n) for n in range(0, 7)]
-    named += [families.empty(n) for n in (1, 3)]
+    named += [Graph(n) for n in (1, 3)]
     rng = random.Random(1709)
     rand = [
         Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
@@ -81,7 +81,7 @@ def input_graphs() -> dict[str, list[Graph]]:
     small = [families.named(tag) for tag in ("T1", "T2", "W5", "B1", "B2", "B3", "TWO_K2")]
     small += [families.complete(n) for n in (1, 2, 3, 4)]
     small += [families.cycle(m) for m in (4, 5)]
-    small += [families.k_triangle(3), families.empty(2), Graph(0)]
+    small += [families.k_triangle(3), Graph(2), Graph(0)]
     return {
         "split_le7.g6": [g for n in range(8) for g in enumerate_graphs(n)
                          if split_partition(g) is not None],

@@ -55,7 +55,7 @@ def test_is_acyclic_examples():
     k3 = families.complete(3)
     assert is_acyclic(OrientedGraph(k3, [(0, 1), (1, 2), (0, 2)]))
     assert not is_acyclic(OrientedGraph(k3, [(0, 1), (1, 2), (2, 0)]))
-    assert is_acyclic(OrientedGraph(families.empty(4), []))
+    assert is_acyclic(OrientedGraph(Graph(4), []))
 
 
 def test_is_transitive_examples():

@@ -28,7 +28,6 @@ from wordrep.split import (
     check_main_orientation,
     check_relative_order,
     classify_all,
-    classify_vertex,
     clique_path,
     is_split,
     is_split_comparability,
@@ -40,7 +39,7 @@ from conftest import EXHAUSTIVE, random_graph, random_split_graph
 
 def _is_split_by_forbidden(g):
     """Oracle: split iff no induced C4, C5 or 2K2."""
-    for pattern in (families.cycle(4), families.cycle(5), families.two_k2()):
+    for pattern in (families.cycle(4), families.cycle(5), families.named("TWO_K2")):
         if contains_induced(g, pattern) is not None:
             return False
     return True
@@ -147,7 +146,7 @@ def test_split_partition_invariants():
 
 
 def test_is_split_examples():
-    assert not is_split(families.two_k2())
+    assert not is_split(families.named("TWO_K2"))
     assert not is_split(families.named("W5"))
     assert not is_split(families.cycle(4))
     assert not is_split(families.cycle(5))
@@ -289,13 +288,14 @@ def test_classify_vertex_canonical_k_triangle():
     g = families.k_triangle(6)
     sp = split_partition(g)
     og = families.k_triangle_canonical_orientation(6)
+    reports = classify_all(sp, og)
+    assert [rep.vertex for rep in reports] == list(sp.independent) == list(range(6, 12))
     # attachment vertices 6..10 are sinks over consecutive pairs: type B
-    for i in range(5):
-        rep = classify_vertex(sp, og, 6 + i)
+    for i, rep in enumerate(reports[:5]):
         assert rep.kind == KIND_B
         assert rep.neighbors_on_path == (i, i + 1)
     # the threaded last vertex is type C with singleton groups
-    rep = classify_vertex(sp, og, 11)
+    rep = reports[5]
     assert rep.kind == KIND_C
     assert rep.source_group == (0,) and rep.sink_group == (5,)
     assert rep.boundary == (0, 5)
@@ -342,24 +342,27 @@ def test_classify_vertex_invalid_and_errors():
     sp = split_partition(g)
     assert sp.clique == (0, 1, 2)
     og = OrientedGraph(g, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 2), (0, 4)])
-    rep = classify_vertex(sp, og, 3)
-    assert rep.kind == KIND_INVALID
+    assert sp.independent == (3, 4)
+    assert classify_all(sp, og)[0].kind == KIND_INVALID
     assert not is_semi_transitive(og)
-    with pytest.raises(ValueError):
-        classify_vertex(sp, og, 0)  # clique vertex
     cyc = OrientedGraph(g, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 2), (0, 4)])
-    with pytest.raises(ValueError):
-        classify_vertex(sp, cyc, 3)  # clique not transitive
+    with pytest.raises(ValueError, match="not transitively oriented"):
+        classify_all(sp, cyc)
+    fine = OrientedGraph(g, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 2), (0, 4)])
+    assert is_semi_transitive(fine)
+    with pytest.raises(ValueError, match="not in the independent set"):
+        toggle_ab(sp, fine, 0)  # clique vertex
 
 
 def test_degree_one_vertices_classify_by_direction():
     g = Graph(3, [(0, 1), (0, 2)])  # K2 plus a pendant... clique {0,1}
     sp = split_partition(g)
     assert sp.clique == (0, 1)
+    assert sp.independent == (2,)
     out = OrientedGraph(g, [(0, 1), (2, 0)])
-    assert classify_vertex(sp, out, 2).kind == KIND_A
+    assert classify_all(sp, out)[0].kind == KIND_A
     inc = OrientedGraph(g, [(0, 1), (0, 2)])
-    assert classify_vertex(sp, inc, 2).kind == KIND_B
+    assert classify_all(sp, inc)[0].kind == KIND_B
 
 
 def test_check_relative_order_examples():
@@ -470,7 +473,7 @@ def test_toggle_ab_examples():
     sp = split_partition(g)
     og = families.k_triangle_canonical_orientation(6)
     flipped = toggle_ab(sp, og, 6)
-    assert classify_vertex(sp, flipped, 6).kind == KIND_A
+    assert classify_all(sp, flipped)[sp.independent.index(6)].kind == KIND_A
     assert is_semi_transitive(flipped)
     assert toggle_ab(sp, flipped, 6) == og  # involution
     with pytest.raises(ValueError):
