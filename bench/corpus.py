@@ -51,10 +51,9 @@ import random
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from report import ROOT, interleaved, main, tree_envs
+from report import ROOT, interleaved, main, process_seconds, tree_envs
 
 OUT = ROOT / "BENCH_corpus.json"
 RUNS = 5
@@ -131,17 +130,6 @@ def workloads() -> dict[str, tuple[list[str] | None, bool]]:
     return out
 
 
-def cli_seconds(env: dict, lines: list[str] | None, witness: bool) -> float:
-    if lines is None:
-        argv, stdin = ["census", "8", "--filter", "connected", "--json"], ""
-    else:
-        argv, stdin = ["classify", "--json"] + ["--witness"] * witness, "\n".join(lines) + "\n"
-    start = time.perf_counter()
-    subprocess.run([sys.executable, "-S", "-B", "-c", CLI, *argv], input=stdin, text=True,
-                   env=env, check=True, stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
-
-
 def route_seconds(env: dict, stdin: str, witness: bool, source: str) -> dict[str, list]:
     """reason -> [verdicts, seconds] from one ``ROUTES`` process."""
     done = subprocess.run([sys.executable, "-S", "-B", "-c", ROUTES, str(int(witness)), source],
@@ -156,7 +144,10 @@ def measure(trees: dict[str, Path]) -> dict[str, dict]:
         for name, (lines, witness) in workloads().items():
             source = "census" if lines is None else "stdin"
             stdin = "" if lines is None else "\n".join(lines) + "\n"
-            walls = interleaved(envs, RUNS, lambda env: cli_seconds(env, lines, witness))
+            argv = (["census", "8", "--filter", "connected", "--json"] if lines is None
+                    else ["classify", "--json"] + ["--witness"] * witness)
+            walls = interleaved(envs, RUNS, lambda env: process_seconds(
+                ["-S", "-B"], ["-c", CLI, *argv], stdin, env))
             passes = interleaved(envs, RUNS, lambda env: route_seconds(env, stdin, witness, source))
             for label in envs:
                 routes = {reason: {"count": count,

@@ -34,10 +34,9 @@ from __future__ import annotations
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from report import ROOT, interleaved, main, tree_envs
+from report import ROOT, interleaved, main, process_seconds, tree_envs
 
 OUT = ROOT / "BENCH_enumeration.json"
 RUNS = 5
@@ -67,20 +66,6 @@ def catalog_run(env: dict, n: int) -> tuple[float, int]:
     return float(seconds), int(maxrss)
 
 
-def census_seconds(env: dict, n: int, flt: str) -> float:
-    start = time.perf_counter()
-    subprocess.run([sys.executable, "-S", "-B", "-m", "wordrep.cli", "census", str(n),
-                    "--filter", flt], env=env, check=True, stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
-
-
-def represent_seconds(env: dict, g6: str) -> float:
-    argv = [sys.executable, "-S", "-B", "-m", "wordrep.cli", "represent", "--max-uniformity", "3"]
-    start = time.perf_counter()
-    subprocess.run(argv, env=env, check=True, input=g6, text=True, stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
-
-
 def measure(trees: dict[str, Path]) -> dict[str, dict]:
     rows: dict[str, dict] = {label: {} for label in trees}
     with tempfile.TemporaryDirectory() as cache:
@@ -91,13 +76,17 @@ def measure(trees: dict[str, Path]) -> dict[str, dict]:
                 if n > 6:
                     rows[label][f"catalog_{n}_maxrss_kb"] = min(maxrss for _, maxrss in got)
         for name, n, flt in CENSUSES:
-            for label, got in interleaved(envs, RUNS, lambda env: census_seconds(env, n, flt)).items():
+            argv = ["-m", "wordrep.cli", "census", str(n), "--filter", flt]
+            for label, got in interleaved(
+                    envs, RUNS, lambda env: process_seconds(["-S", "-B"], argv, None, env)).items():
                 rows[label][name] = min(got)
         for name, l in REPRESENTS:
             g6 = subprocess.run([sys.executable, "-S", "-B", "-c", GRAPH6.format(l=l)],
                                 env=envs["change"], check=True, capture_output=True,
                                 text=True).stdout
-            for label, got in interleaved(envs, RUNS, lambda env: represent_seconds(env, g6)).items():
+            argv = ["-m", "wordrep.cli", "represent", "--max-uniformity", "3"]
+            for label, got in interleaved(
+                    envs, RUNS, lambda env: process_seconds(["-S", "-B"], argv, g6, env)).items():
                 rows[label][name] = min(got)
     return {label: {k: round(v, 4) for k, v in r.items()} for label, r in rows.items()}
 

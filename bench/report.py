@@ -14,6 +14,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from collections.abc import Callable
 from pathlib import Path
 
@@ -31,6 +32,18 @@ def tree_envs(trees: dict[str, Path], cache: str) -> dict[str, dict]:
     for env in envs.values():
         subprocess.run([sys.executable, "-S", "-c", "import wordrep.cli"], env=env, check=True)
     return envs
+
+
+def process_seconds(flags: list[str], argv: list[str], stdin: str | None, env: dict) -> float:
+    """Wall-clock seconds of one fresh ``python3`` process, spawn to exit,
+    with interpreter ``flags`` and ``argv``, fed ``stdin`` (None: this
+    process's own) and its output discarded.  ``subprocess.run`` without
+    a timeout waits for the child in one blocking call, so the time is
+    not rounded up to a polling step."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *flags, *argv], input=stdin, text=True, env=env,
+                   check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
 
 
 def interleaved(envs: dict[str, dict], runs: int, run: Callable[[dict], object]) -> dict[str, list]:

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import os
 import statistics
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
-from report import ROOT, main
+from report import ROOT, main, process_seconds
 
 OUT = ROOT / "BENCH_startup.json"
 RUNS = 21
@@ -49,17 +47,6 @@ CALLS = (
 )
 
 
-def call_ms(args: list[str], stdin: str, env: dict, write_cache: bool = False) -> float:
-    """Wall milliseconds of one ``python3 -S`` process.  ``subprocess.run``
-    without a timeout waits for the child in one blocking call, so the
-    time is not rounded up to a polling step."""
-    flags = ["-S"] if write_cache else ["-S", "-B"]
-    start = time.perf_counter()
-    subprocess.run([sys.executable, *flags, *args], input=stdin, text=True, env=env,
-                   check=True, stdout=subprocess.DEVNULL)
-    return (time.perf_counter() - start) * 1000
-
-
 def measure(trees: dict[str, Path]) -> dict[str, dict]:
     base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     samples: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
@@ -70,13 +57,13 @@ def measure(trees: dict[str, Path]) -> dict[str, dict]:
                 for label, src in trees.items() for state in ("cold", "warm")}
         for label in trees:
             for _, args, stdin in CALLS:
-                call_ms(args, stdin, envs[label, "warm"], write_cache=True)
+                process_seconds(["-S"], args, stdin, envs[label, "warm"])
         # round robin, so that a slow spell of the machine hits every row of both trees
         for _ in range(RUNS):
             for name, args, stdin in CALLS:
                 for (label, state), env in envs.items():
                     samples[label].setdefault(f"{name}_{state}", []).append(
-                        call_ms(args, stdin, env))
+                        process_seconds(["-S", "-B"], args, stdin, env) * 1000)
     rows: dict[str, dict] = {label: {} for label in trees}
     for label, by_key in samples.items():
         for key, values in by_key.items():

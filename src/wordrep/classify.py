@@ -28,6 +28,7 @@ from . import families
 from .graphs import Embedding, Graph, _bits, contains_induced, induced_subgraph
 from .orient import (
     OracleDisagreement,
+    OrientedGraph,
     find_semi_transitive_orientation,
     find_transitive_orientation,
     forcing_chain,
@@ -43,48 +44,43 @@ REASON_NEIGHBOURHOOD = "NEIGHBOURHOOD"
 REASON_ORACLE = "ORACLE_SEARCH"
 
 
-class Verdict(namedtuple(
-    "Verdict",
-    "representable reason witness_pattern witness_orientation witness_chain",
-    defaults=(None, None, None),
-)):
+class Verdict(namedtuple("Verdict", "representable reason witness", defaults=(None,))):
     """Outcome of classifying one graph.
 
-    ``witness_pattern`` names a forbidden induced subgraph and its
-    embedding (host labels) when non-representable via a
-    characterization; ``witness_orientation`` carries a semi-transitive
-    orientation when representable and one was requested;
-    ``witness_chain`` is a vertex and a forcing chain in its
-    neighbourhood (host labels) when non-representable by NEIGHBOURHOOD.
+    ``witness`` is its certificate, in host labels: an ``OrientedGraph``
+    (semi-transitive) when representable and one was requested; a
+    forbidden induced subgraph's ``(name, Embedding)`` when a
+    characterization says no; ``(vertex, chain)``, a forcing chain in
+    the vertex's neighbourhood, for NEIGHBOURHOOD; None otherwise.
     """
 
     __slots__ = ()
 
+    def _witness(self) -> tuple[str, dict] | tuple[None, None]:
+        """The witness as its text field and its JSON value."""
+        w = self.witness
+        if w is None:
+            return None, None
+        if isinstance(w, OrientedGraph):
+            bits = orientation_bits(w)
+            return f"orientation={bits}", {"orientation": bits}
+        head, body = w
+        if isinstance(body, Embedding):
+            return (f"witness={head}:{','.join(map(str, body.mapping))}",
+                    {"pattern": head, "vertices": list(body.mapping)})
+        return (f"chain={head}:{','.join(f'{a}>{b}' for a, b in body)}",
+                {"vertex": head, "chain": [list(arc) for arc in body]})
+
     def to_json(self) -> dict:
-        witness = None
-        if self.witness_pattern is not None:
-            name, emb = self.witness_pattern
-            witness = {"pattern": name, "vertices": list(emb.mapping)}
-        elif self.witness_chain is not None:
-            v, chain = self.witness_chain
-            witness = {"vertex": v, "chain": [list(arc) for arc in chain]}
-        elif self.witness_orientation is not None:
-            witness = {"orientation": orientation_bits(self.witness_orientation)}
-        return {"representable": self.representable, "reason": self.reason, "witness": witness}
+        return {"representable": self.representable, "reason": self.reason,
+                "witness": self._witness()[1]}
 
     def to_text(self) -> str:
         """Status, reason and witness, tab-separated as ``classify`` prints
         them: ``witness=T1:3,0,1``, ``chain=5:0>1,...`` or ``orientation=bits``."""
         fields = ["representable" if self.representable else "non-representable", self.reason]
-        if self.witness_pattern is not None:
-            name, emb = self.witness_pattern
-            fields.append(f"witness={name}:{','.join(map(str, emb.mapping))}")
-        elif self.witness_chain is not None:
-            v, chain = self.witness_chain
-            fields.append(f"chain={v}:{','.join(f'{a}>{b}' for a, b in chain)}")
-        elif self.witness_orientation is not None:
-            fields.append(f"orientation={orientation_bits(self.witness_orientation)}")
-        return "\t".join(fields)
+        text = self._witness()[0]
+        return "\t".join(fields + [text] if text else fields)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +137,7 @@ def classify_degree_two(sp: SplitPartition) -> Verdict:
     emb = contains_induced(g, pattern)
     if emb is None:
         raise OracleDisagreement(f"cover graph names {name} but it is not induced in {g!r}")
-    return Verdict(False, REASON_MAIN1, witness_pattern=(name, emb))
+    return Verdict(False, REASON_MAIN1, witness=(name, emb))
 
 
 def _cover_walk(sp: SplitPartition) -> tuple[list[int], list[int]] | None:
@@ -178,7 +174,7 @@ def classify_clique_four(sp: SplitPartition) -> Verdict:
     for name in ("T1", "T2", "T3", "T4"):
         emb = contains_induced(sp.graph, families.named(name))
         if emb is not None:
-            return Verdict(False, REASON_MAIN2, witness_pattern=(name, emb))
+            return Verdict(False, REASON_MAIN2, witness=(name, emb))
     return Verdict(True, REASON_MAIN2)
 
 
@@ -229,7 +225,7 @@ def classify_graph(
         og = _orient_along(h, sp.clique if sp.m <= 3 else _cover_walk(sp)[0])
     elif verdict.reason == REASON_MAIN2:
         og = find_semi_transitive_orientation(h)
-    return verdict._replace(witness_orientation=og if h is g else _lift(whole, og))
+    return verdict._replace(witness=og if h is g else _lift(whole, og))
 
 
 def classify_split(g: Graph, *, verify: bool = False, want_witness: bool = False) -> Verdict:
@@ -249,5 +245,5 @@ def _neighbourhood_verdict(g: Graph) -> Verdict | None:
         chain = forcing_chain(induced_subgraph(g, nbrs)) if len(nbrs) >= 5 else None
         if chain is not None:
             chain = tuple((nbrs[a], nbrs[b]) for a, b in chain)
-            return Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(v, chain))
+            return Verdict(False, REASON_NEIGHBOURHOOD, witness=(v, chain))
     return None

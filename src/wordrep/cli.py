@@ -119,26 +119,6 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _census_records(broods, connected_only: bool):
-    """One record per brood (the children of one parent): its class
-    count per reason key, and the graph6 text, split flag and
-    connectivity of each non-representable class, in brood order."""
-    for brood in broods:
-        counts: dict[str, int] = {}
-        found = []
-        for g in brood:
-            connected = is_connected(g)
-            if connected_only and not connected:
-                continue
-            sp = split_partition(g)
-            verdict = _verdict_for(g, sp)
-            key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
-            counts[key] = counts.get(key, 0) + 1
-            if not verdict.representable:
-                found.append((write_graph6(g), sp is not None, connected))
-        yield counts, found
-
-
 def _fork_worker(records) -> tuple[int, int]:
     """Fork a process that marshals each of ``records`` into a pipe, or,
     at an exception, (None, (its name, its text)) and stops; returns the
@@ -195,17 +175,32 @@ def cmd_census(args) -> int:
     # split graphs are closed under vertex deletion: grow them from split parents
     hereditary = is_split if args.filter == "split" else None
 
-    def brood(padj):  # the one class of order 0 has no parent
-        return _children(n, padj, hereditary) if n else enumerate_graphs(0, hereditary=hereditary)
+    def record(padj):
+        """The class count per reason key of one parent's children (of
+        the one class of order 0 when n = 0), and the graph6 text, split
+        flag and connectivity of each non-representable one, in order."""
+        tally, found = {}, []
+        for g in _children(n, padj) if n else [Graph(0)]:
+            connected = is_connected(g)
+            if args.filter == "connected" and not connected:
+                continue
+            sp = split_partition(g)
+            if args.filter == "split" and sp is None:
+                continue
+            verdict = _verdict_for(g, sp)
+            key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
+            tally[key] = tally.get(key, 0) + 1
+            if not verdict.representable:
+                found.append((write_graph6(g), sp is not None, connected))
+        return tally, found
 
     parents = [g.adj for g in enumerate_graphs(n - 1, allow_large=allow_large,
                                                hereditary=hereditary)] if n else [()]
-    # Parent i's brood goes to worker i % workers, worker 0 being this
-    # process.  No two parents share a child, and the records are read
-    # in parent order, so the output is that of one process.
+    # Parent i's record comes from worker i % workers, worker 0 being
+    # this process.  No two parents share a child, and the records are
+    # read in parent order, so the output is that of one process.
     workers = min(_usable_cpus(), len(parents)) if hasattr(os, "fork") else 1
-    shares = [_census_records(map(brood, parents[k::workers]), args.filter == "connected")
-              for k in range(workers)]
+    shares = [map(record, parents[k::workers]) for k in range(workers)]
     pids, streams = [], []
     try:
         for share in shares[1:]:
@@ -214,8 +209,8 @@ def cmd_census(args) -> int:
             streams.append(os.fdopen(read, "rb"))
         for i in range(len(parents)):
             k = i % workers
-            brood_counts, found = _receive(streams[k - 1]) if k else next(shares[0])
-            for key, cnt in brood_counts.items():
+            parent_counts, found = _receive(streams[k - 1]) if k else next(shares[0])
+            for key, cnt in parent_counts.items():
                 counts[key] = counts.get(key, 0) + cnt
                 total += cnt
             for g6, split, connected in found:

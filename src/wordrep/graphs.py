@@ -445,23 +445,21 @@ def _last_vertex_canonical(adj: tuple[int, ...]) -> bool:
 
 def _catalog(n: int, hereditary: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
     """Each class of order n-1, in catalogue order, followed by its
-    ``_children``.  Each call enumerates afresh, yielding a child as it is
-    kept and reading the parents from ``_catalog(n - 1, hereditary)``."""
-    if n == 0:
-        yield from [Graph(0)] if hereditary is None or hereditary(Graph(0)) else []
-        return
-    for parent in _catalog(n - 1, hereditary):
-        yield from _children(n, parent.adj, hereditary)
+    ``_children`` that ``hereditary``, if given, accepts.  Each call
+    enumerates afresh, yielding a child as it is kept and reading the
+    parents from ``_catalog(n - 1, hereditary)``."""
+    graphs = [Graph(0)] if n == 0 else (
+        child for parent in _catalog(n - 1, hereditary) for child in _children(n, parent.adj))
+    yield from (g for g in graphs if hereditary is None or hereditary(g))
 
 
-def _children(n: int, padj: tuple[int, ...],
-              hereditary: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
+def _children(n: int, padj: tuple[int, ...]) -> Iterator[Graph]:
     """The children of order n of the class of order n-1 with adjacency
     padj: it gains vertex n-1 by the least mask of each orbit of its
     automorphisms, in increasing order.  A child is kept when n-1 is in
-    its canonical orbit, so the parent is its canonical deletion, and
-    ``hereditary``, if given, accepts it.  No two parents share a child,
-    so the parents can be shared out among processes."""
+    its canonical orbit, so the parent is its canonical deletion.  No
+    two parents share a child, so the parents can be shared out among
+    processes."""
     newbit = 1 << (n - 1)
     imgs = []  # img[m]: the image of mask m under one generator of Aut(parent)
     for p in _canonical_form(n - 1, padj)[1]:
@@ -482,6 +480,4 @@ def _children(n: int, padj: tuple[int, ...],
                     orbit.append(img[m])
         adj = tuple(r | newbit if mask >> u & 1 else r for u, r in enumerate(padj)) + (mask,)
         if _last_vertex_canonical(adj):
-            child = Graph._from_adj(n, adj)
-            if hereditary is None or hereditary(child):
-                yield child
+            yield Graph._from_adj(n, adj)

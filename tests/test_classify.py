@@ -116,6 +116,24 @@ def _degree_two_generic(g):
     return True, None
 
 
+def _assert_certificate(g, v):
+    """v, decided on g with want_witness=True, carries the certificate
+    its verdict calls for, in g's labels, and the certificate checks:
+    a semi-transitive orientation of g for a "yes", an induced copy of
+    the named pattern for a theorem's "no", a forcing chain for
+    NEIGHBOURHOOD, and nothing for the search's "no"."""
+    if v.representable:
+        assert v.witness.base == g and is_semi_transitive(v.witness), g.edges()
+    elif v.reason in (REASON_MAIN1, REASON_MAIN2):
+        name, emb = v.witness
+        pattern = families.a_graph(int(name[2:])) if name.startswith("A_") else families.named(name)
+        assert isinstance(emb, Embedding) and emb.is_valid(g, pattern), g.edges()
+    elif v.reason == REASON_NEIGHBOURHOOD:
+        assert is_forcing_chain(g, *v.witness), g.edges()
+    else:
+        assert v.reason == REASON_ORACLE and v.witness is None, g.edges()
+
+
 def _clique_with(m, nbhds):
     """K_m plus one independent vertex per listed clique neighbourhood."""
     edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
@@ -158,7 +176,7 @@ def test_find_a_ell_routes_agree(rng):
         if sp is None or any(g.degree(v) > 2 for v in sp.independent):
             return False
         verdict = classify_degree_two(sp)
-        assert (verdict.representable, verdict.witness_pattern) == _degree_two_generic(g)
+        assert (verdict.representable, verdict.witness) == _degree_two_generic(g)
         return True
 
     for _ in range(150):
@@ -175,7 +193,7 @@ def test_classify_degree_two_reads_the_cover_graph():
         verdict = classify_degree_two(split_partition(g))
         if verdict.representable:
             return None
-        name, emb = verdict.witness_pattern
+        name, emb = verdict.witness
         pattern = families.named("T2") if name == "T2" else families.a_graph(int(name[2:]))
         assert is_isomorphic(induced_subgraph(g, emb.image()), pattern)
         return name
@@ -210,14 +228,14 @@ def test_classify_degree_two_examples():
                   (0, 4), (1, 4), (0, 5), (2, 5), (0, 6), (3, 6)])
     verdict = classify_degree_two(split_partition(g))
     assert not verdict.representable
-    name, emb = verdict.witness_pattern
+    name, emb = verdict.witness
     assert name == "T2" and is_isomorphic(
         induced_subgraph(g, emb.image()), families.named("T2")
     )
     # the A_l family itself
     verdict = classify_degree_two(split_partition(families.a_graph(6)))
     assert not verdict.representable
-    assert verdict.witness_pattern[0] == "A_6"
+    assert verdict.witness[0] == "A_6"
     with pytest.raises(ValueError):
         classify_degree_two(split_partition(families.named("T3")))  # degree 3
 
@@ -233,9 +251,9 @@ def test_classify_clique_four_examples():
         verdict = classify_clique_four(sp)
         assert verdict.representable == representable
         if witness is None:
-            assert verdict.witness_pattern is None
+            assert verdict.witness is None
         else:
-            name, emb = verdict.witness_pattern
+            name, emb = verdict.witness
             assert name == witness
             assert is_isomorphic(
                 induced_subgraph(sp.graph, emb.image()), families.named(witness)
@@ -252,7 +270,7 @@ def test_classify_split_examples():
     assert v.representable and v.reason == REASON_COMPARABILITY
     v = classify_split(families.named("T3"))
     assert not v.representable and v.reason == REASON_MAIN2
-    assert v.witness_pattern[0] == "T3"
+    assert v.witness[0] == "T3"
     v = classify_split(families.named("T1"))
     assert not v.representable and v.reason == REASON_MAIN1
     v = classify_split(families.k_ell_k(7, 3))
@@ -261,11 +279,11 @@ def test_classify_split_examples():
         classify_split(families.cycle(4))
 
 
-def test_classify_split_witness_orientation():
+def test_classify_split_orientation_witness():
     v = classify_split(families.k_triangle(5), want_witness=True)
-    assert v.representable and v.witness_orientation is not None
-    assert is_semi_transitive(v.witness_orientation)
-    assert v.witness_orientation.base == families.k_triangle(5)
+    assert v.representable and isinstance(v.witness, OrientedGraph)
+    assert is_semi_transitive(v.witness)
+    assert v.witness.base == families.k_triangle(5)
     payload = v.to_json()
     assert set(payload) == {"representable", "reason", "witness"}
     assert "orientation" in payload["witness"]
@@ -273,32 +291,30 @@ def test_classify_split_witness_orientation():
 
 def test_verdict_record():
     v = Verdict(representable=True, reason=REASON_COMPARABILITY)
-    assert (v.witness_pattern, v.witness_orientation, v.witness_chain) == (None, None, None)
-    assert v == Verdict(True, REASON_COMPARABILITY, None, None, None)
+    assert Verdict._fields == ("representable", "reason", "witness")
+    assert v.witness is None
+    assert v == Verdict(True, REASON_COMPARABILITY, None)
     assert hash(v) == hash(Verdict(True, REASON_COMPARABILITY))
-    assert repr(v) == (
-        "Verdict(representable=True, reason='COMPARABILITY', "
-        "witness_pattern=None, witness_orientation=None, witness_chain=None)"
-    )
+    assert repr(v) == "Verdict(representable=True, reason='COMPARABILITY', witness=None)"
     with pytest.raises(AttributeError):
         v.representable = False
     assert v.to_json() == {"representable": True, "reason": "COMPARABILITY", "witness": None}
-    no = Verdict(False, REASON_MAIN1, witness_pattern=("T1", Embedding((3, 0, 1))))
+    no = Verdict(False, REASON_MAIN1, witness=("T1", Embedding((3, 0, 1))))
     assert no.to_json() == {
         "representable": False,
         "reason": "THEOREM_MAIN1",
         "witness": {"pattern": "T1", "vertices": [3, 0, 1]},
     }
     og = OrientedGraph(Graph(3, [(0, 1), (1, 2)]), [(0, 1), (2, 1)])
-    yes = Verdict(True, REASON_ORACLE, witness_orientation=og)
+    yes = Verdict(True, REASON_ORACLE, witness=og)
     assert yes.to_json()["witness"] == {"orientation": orientation_bits(og)}
     chain = ((0, 1), (0, 4), (3, 4), (3, 2), (1, 2), (1, 0))
-    no = Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(5, chain))
+    no = Verdict(False, REASON_NEIGHBOURHOOD, witness=(5, chain))
     assert no.to_json()["witness"] == {"vertex": 5, "chain": [list(arc) for arc in chain]}
     assert v.to_text() == "representable\tCOMPARABILITY"
     assert no.to_text() == "non-representable\tNEIGHBOURHOOD\tchain=5:0>1,0>4,3>4,3>2,1>2,1>0"
     assert yes.to_text() == f"representable\tORACLE_SEARCH\torientation={orientation_bits(og)}"
-    pattern = Verdict(False, REASON_MAIN1, witness_pattern=("T1", Embedding((3, 0, 1))))
+    pattern = Verdict(False, REASON_MAIN1, witness=("T1", Embedding((3, 0, 1))))
     assert pattern.to_text() == "non-representable\tTHEOREM_MAIN1\twitness=T1:3,0,1"
 
 
@@ -313,7 +329,7 @@ def test_classify_split_witness_maps_to_input_labels():
     for padded in (isolated, pendant_twin):
         v = classify_split(padded, verify=True)
         assert not v.representable
-        name, emb = v.witness_pattern
+        name, emb = v.witness
         assert 0 not in emb.mapping  # the isolated or pendant pad cannot appear
         pattern = (
             families.a_graph(int(name[2:])) if name.startswith("A_") else families.named(name)
@@ -343,7 +359,8 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
         calls.clear()
         v = classify_split(g, verify=True, want_witness=True)
         assert v.reason == reason and calls == [g]
-        assert (v.witness_orientation is not None) == v.representable
+        assert isinstance(v.witness, OrientedGraph) == v.representable
+        _assert_certificate(g, v)
     # a pendant or a false twin pad on each rung: a witness alone makes
     # no search of g, and THEOREM_MAIN2 searches h
     b2, m6, m2 = families.named("B2"), families.named("M6"), families.named("M2")
@@ -359,7 +376,7 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
         v = classify_split(g, want_witness=True)
         assert v.reason == reason and v.representable
         assert calls == ([h] if reason == REASON_MAIN2 else [])
-        assert v.witness_orientation.base == g and is_semi_transitive(v.witness_orientation)
+        assert v.witness.base == g and is_semi_transitive(v.witness)
         calls.clear()
         v = classify_split(g, verify=True, want_witness=True)
         assert calls.count(g) == 1 and len(calls) == (2 if reason == REASON_MAIN2 else 1)
@@ -370,9 +387,9 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
     calls.clear()
     v = classify_split(k4, want_witness=True)
     assert v.reason == REASON_COMPARABILITY and calls == []
-    assert is_transitive(v.witness_orientation)
+    assert is_transitive(v.witness)
     v = classify_split(k4, verify=True, want_witness=True)
-    assert calls == [k4] and is_transitive(v.witness_orientation)
+    assert calls == [k4] and is_transitive(v.witness)
     # a disagreement still raises, and the CLI still exits 3 on it
     monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", lambda g: None)
     with pytest.raises(OracleDisagreement):
@@ -411,11 +428,8 @@ def test_split_witness_comes_from_the_deciding_rung(monkeypatch):
         assert calls in ([], [h]), g.edges()
         if calls:
             assert v.reason == REASON_ORACLE or v.reason == REASON_MAIN2 and v.representable
-        if v.representable:
-            assert v.witness_orientation.base == g, g.edges()
-            assert is_semi_transitive(v.witness_orientation), g.edges()
-        else:
-            assert v.witness_orientation is None
+        assert isinstance(v.witness, OrientedGraph) == v.representable, g.edges()
+        _assert_certificate(g, v)
     assert {REASON_CLIQUE_LE_3, REASON_COMPARABILITY, REASON_MAIN1, REASON_MAIN2} <= reasons
 
 
@@ -486,18 +500,17 @@ def test_pipeline_agrees_with_the_engine_and_every_certificate_checks():
             sp = split_partition(g)
             v = classify_graph(g, sp, want_witness=True)
             assert v.representable == (find_semi_transitive_orientation(g) is not None)
-            reasons.add(v.reason)
-            if v.reason == REASON_NEIGHBOURHOOD:
-                assert is_forcing_chain(g, *v.witness_chain)
-            if v.witness_orientation is not None:
-                assert v.witness_orientation.base == g
-                assert is_semi_transitive(v.witness_orientation)
-                # the transitive orientation is the witness whenever
-                # reduction removed nothing
-                whole = sp is None or _reduce(sp).graph is g
-                if whole and v.reason == REASON_COMPARABILITY:
-                    assert is_transitive(v.witness_orientation)
-    assert {REASON_COMPARABILITY, REASON_NEIGHBOURHOOD, REASON_ORACLE} <= reasons
+            reasons.add((v.representable, v.reason))
+            assert isinstance(v.witness, OrientedGraph) == v.representable, g.edges()
+            _assert_certificate(g, v)
+            # the transitive orientation is the witness whenever
+            # reduction removed nothing
+            if v.reason == REASON_COMPARABILITY and (sp is None or _reduce(sp).graph is g):
+                assert is_transitive(v.witness)
+    # every certificate kind turns up: an orientation, a pattern from
+    # each theorem, a chain, and the search's bare "no"
+    assert {(True, REASON_COMPARABILITY), (False, REASON_MAIN1), (False, REASON_MAIN2),
+            (False, REASON_NEIGHBOURHOOD), (False, REASON_ORACLE)} <= reasons
 
 
 def test_split_neighbourhood_chain_maps_to_input_labels():
@@ -512,11 +525,11 @@ def test_split_neighbourhood_chain_maps_to_input_labels():
     for g in (core, padded, pendant_twin):
         v = classify_split(g, verify=True)
         assert not v.representable and v.reason == REASON_NEIGHBOURHOOD
-        assert is_forcing_chain(g, *v.witness_chain)
-        vertex, chain = v.witness_chain
+        assert is_forcing_chain(g, *v.witness)
+        vertex, chain = v.witness
         assert v.to_json()["witness"] == {"vertex": vertex, "chain": [list(a) for a in chain]}
     for g in (padded, pendant_twin):
-        assert classify_split(g).witness_chain == classify_graph(g, split_partition(g)).witness_chain
+        assert classify_split(g).witness == classify_graph(g, split_partition(g)).witness
 
 
 def test_verify_rechecks_non_split_certificates(monkeypatch, tmp_path, capsys):
@@ -540,10 +553,11 @@ def test_verify_rechecks_non_split_certificates(monkeypatch, tmp_path, capsys):
         calls.clear()
         v = classify_graph(g, None, verify=True, want_witness=True)
         assert v.reason == reason and calls == [g]
-        assert (v.witness_orientation is not None) == v.representable
+        assert isinstance(v.witness, OrientedGraph) == v.representable
+        _assert_certificate(g, v)
     # a neighbourhood lemma that fires on C5, and a transitive
     # orientation of W5: the verdicts are wrong, and only --verify says so
-    fake = Verdict(False, REASON_NEIGHBOURHOOD, witness_chain=(0, ()))
+    fake = Verdict(False, REASON_NEIGHBOURHOOD, witness=(0, ()))
     monkeypatch.setattr(classify_mod, "_neighbourhood_verdict", lambda g: fake)
     c5 = families.cycle(5)
     assert classify_graph(c5, None) == fake
