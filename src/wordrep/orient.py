@@ -337,30 +337,42 @@ def count_semi_transitive_extensions(
 # ---------------------------------------------------------------------------
 # Transitive orientations (comparability testing support): Golumbic's
 # G-decomposition (*Algorithmic Graph Theory and Perfect Graphs*, 1980,
-# Thm 5.1).
+# Thm 5.1).  An implication class grows breadth first as a list of arcs
+# with their parents' indices, its members kept as out-masks.
 
 
 def _forced(adj: Sequence[int], a: int, b: int) -> list[tuple[int, int]]:
     """The arcs that a->b forces in the graph ``adj`` (Golumbic's Γ):
-    a->c when c sees a but not b, and c->b when c sees b but not a."""
+    a->c when c sees a but not b, and c->b when c sees b but not a.
+    This is Γ stated arc by arc for the checker ``is_forcing_chain``;
+    ``_implication_class`` applies the same rule to whole masks."""
     forced = [(a, c) for c in _bits(adj[a] & ~adj[b] & ~(1 << b))]
     return forced + [(c, b) for c in _bits(adj[b] & ~adj[a] & ~(1 << a))]
 
 
-def _implication_class(adj: Sequence[int], u: int, v: int) -> tuple[dict, tuple | None]:
-    """The implication class of u->v in the graph ``adj`` as a map from
-    each arc to the arc that forced it (None for u->v), and None; or the
-    map so far and the first arc forced whose reverse it holds."""
-    parent = {(u, v): None}
-    work = [(u, v)]
-    for a, b in work:  # also reads the arcs appended below
-        for arc in _forced(adj, a, b):
-            if arc not in parent:
-                parent[arc] = (a, b)
-                if arc[::-1] in parent:
-                    return parent, arc
-                work.append(arc)
-    return parent, None
+def _implication_class(adj: Sequence[int], u: int, v: int) -> tuple[list, list, bool]:
+    """The implication class of u->v in the graph ``adj``: its arcs in
+    breadth-first order, the index of the arc that forced each (-1 for
+    u->v), and False; or the arcs so far, the last one the first forced
+    whose reverse the class holds, and True."""
+    out = [0] * len(adj)  # a->b is in the class iff out[a] >> b & 1
+    out[u] = 1 << v
+    arcs, parent = [(u, v)], [-1]
+    for i, (a, b) in enumerate(arcs):  # also reads the arcs appended below
+        for c in _bits(adj[a] & ~adj[b] & ~(1 << b) & ~out[a]):
+            out[a] |= 1 << c
+            arcs.append((a, c))
+            parent.append(i)
+            if out[c] >> a & 1:
+                return arcs, parent, True
+        for c in _bits(adj[b] & ~adj[a] & ~(1 << a)):
+            if not out[c] >> b & 1:
+                out[c] |= 1 << b
+                arcs.append((c, b))
+                parent.append(i)
+                if out[b] >> c & 1:
+                    return arcs, parent, True
+    return arcs, parent, False
 
 
 def find_transitive_orientation(g: Graph) -> OrientedGraph | None:
@@ -373,10 +385,10 @@ def find_transitive_orientation(g: Graph) -> OrientedGraph | None:
     out = [0] * g.n
     for u, v in g.edges():
         if und[u] >> v & 1:
-            cls, clash = _implication_class(und, u, v)
-            if clash is not None:
+            arcs, _, clash = _implication_class(und, u, v)
+            if clash:
                 return None
-            for a, b in cls:
+            for a, b in arcs:
                 out[a] |= 1 << b
                 und[a] &= ~(1 << b)
                 und[b] &= ~(1 << a)
@@ -393,34 +405,41 @@ def forcing_chain(g: Graph) -> list[tuple[int, int]] | None:
     comes from g's own classes, not the G-decomposition's later ones,
     which force within what earlier ones left: g is not a comparability
     graph iff one holds an edge both ways (Golumbic, Thm 5.1)."""
-    seen = set()  # arcs of classes that hold no edge both ways
+    seen = [0] * g.n  # edges of classes that hold no edge both ways
     for u, v in g.edges():
-        if (u, v) in seen:
+        if seen[u] >> v & 1:
             continue
-        parent, clash = _implication_class(g.adj, u, v)
-        if clash is None:
-            seen.update(parent, ((b, a) for a, b in parent))
+        arcs, parent, clash = _implication_class(g.adj, u, v)
+        if not clash:
+            for a, b in arcs:
+                seen[a] |= 1 << b
+                seen[b] |= 1 << a
             continue
-        chain = [clash[::-1]]  # u->v, ..., the reverse of clash
-        while chain[0] != (u, v):
-            chain.insert(0, parent[chain[0]])
-        # forcing is symmetric and commutes with reversal, so the path
-        # back from clash to u->v, every arc reversed, leads on to v->u
-        while clash != (u, v):
-            clash = parent[clash]
-            chain.append(clash[::-1])
-        return chain
+        # u->v, ..., the reverse of the clash arcs[-1]; forcing is
+        # symmetric and commutes with reversal, so the path back from the
+        # clash to u->v, every arc reversed, leads on to v->u
+        fwd, back = [arcs.index(arcs[-1][::-1])], [len(arcs) - 1]
+        for path in (fwd, back):
+            while path[-1]:
+                path.append(parent[path[-1]])
+        return [arcs[i] for i in reversed(fwd)] + [arcs[i][::-1] for i in back[1:]]
     return None
 
 
 def is_forcing_chain(g: Graph, v: int, chain: Sequence[tuple[int, int]]) -> bool:
     """Does ``chain`` show, by adjacency tests alone, that N(v) is not a
     comparability graph: arcs over edges of g inside N(v), each forcing
-    the next, the last one the first reversed?"""
+    the next, the last one the first reversed?  Labels other than ints
+    and arcs other than pairs make a malformed certificate: no."""
+    if type(v) is not int or not isinstance(chain, (list, tuple)) or not all(
+        isinstance(arc, (list, tuple)) and len(arc) == 2 and type(arc[0]) is type(arc[1]) is int
+        for arc in chain
+    ):
+        return False
     arcs = [tuple(arc) for arc in chain]
     inside = set(_bits(g.adj[v])) if 0 <= v < g.n else set()
     return (
         len(arcs) >= 2 and arcs[-1] == arcs[0][::-1]
-        and all(len(arc) == 2 and set(arc) <= inside and g.adjacent(*arc) for arc in arcs)
+        and all(set(arc) <= inside and g.adjacent(*arc) for arc in arcs)
         and all(nxt in _forced(g.adj, *arc) for arc, nxt in zip(arcs, arcs[1:]))
     )

@@ -1,12 +1,15 @@
 """Directed machinery: acyclicity, transitivity, the two shortcut
 checkers and their agreement, the orientation search as a decision
 procedure and its reversal symmetry, extension counting, forcing
-chains, and serialization round trips."""
+chains and their agreement with the dict-based implication classes of
+``implication_oracle``, and serialization round trips."""
+
+import random
 
 import pytest
 
 from wordrep import families
-from wordrep.graphs import Graph, enumerate_graphs
+from wordrep.graphs import Graph, enumerate_graphs, induced_subgraph
 from wordrep.orient import (
     OrientedGraph,
     _add_arc,
@@ -26,6 +29,7 @@ from wordrep.orient import (
     to_dot,
 )
 from conftest import EXHAUSTIVE, random_graph
+import implication_oracle
 from shortcut_witness import ShortcutWitness, find_shortcut, is_acyclic
 
 
@@ -428,8 +432,6 @@ def test_dot_output():
 def test_representable_neighbourhoods_are_comparability():
     # a word-representable graph induces a transitively orientable
     # subgraph on every vertex neighbourhood; checked across the stack
-    from wordrep.graphs import induced_subgraph
-
     for n in range(7):
         for g in enumerate_graphs(n):
             if not is_word_representable(g):
@@ -503,5 +505,27 @@ def test_is_forcing_chain_rejects_malformed_input():
     assert is_forcing_chain(w5, 5, chain)
     assert is_forcing_chain(w5, 5, [list(arc) for arc in chain])  # JSON form
     for v, bad in ((6, chain), (-1, chain), (5, []), (5, [(0, 1)]),
-                   (5, [(0, 1, 2), (1, 0)]), (5, [(0, 2), (2, 0)])):
+                   (5, [(0, 1, 2), (1, 0)]), (5, [(0, 2), (2, 0)]),
+                   (5, [5, 6]), (5, None), ("5", chain), (5, [[0.0, 1], [1, 0]]),
+                   (True, chain), (5, [(True, 0), (0, True)]), (5, [{0, 1}, (1, 0)])):
         assert not is_forcing_chain(w5, v, bad)
+
+
+def test_implication_classes_match_the_oracle():
+    # every class with n <= 7, seeded G(n, p) with n <= 14, and each of
+    # their neighbourhoods of degree >= 5: the mask-based classes give
+    # the oracle's orientation and chain exactly
+    rng = random.Random(25)
+    graphs = [random_graph(rng, n, p) for n in range(15) for p in (0.2, 0.4, 0.6, 0.8)
+              for _ in range(12)]
+    graphs += [induced_subgraph(g, g.neighbors(v))
+               for g in graphs for v in range(g.n) if g.degree(v) >= 5]
+    graphs += [g for n in range(8) for g in enumerate_graphs(n)]
+    chains = 0
+    for g in graphs:
+        og = find_transitive_orientation(g)
+        assert (None if og is None else og.out) == implication_oracle.transitive_out(g), g.edges()
+        chain = forcing_chain(g)
+        assert chain == implication_oracle.forcing_chain(g), g.edges()
+        chains += chain is not None
+    assert 0 < chains < len(graphs)
