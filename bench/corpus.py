@@ -66,11 +66,14 @@ SEEDS = (1, 7919)
 CLI = "from wordrep.cli import console_main; console_main()"
 # Runs in the measured tree: classify each graph once through the CLI's
 # own route and print, per reason, the count and the seconds.
+# A tree whose _verdict_for still takes the split partition (before the
+# reduction ran on every graph) is handed it, as its CLI did.
 ROUTES = """
-import json, sys, time
+import inspect, json, sys, time
 from wordrep.cli import _verdict_for
 from wordrep.graphs import enumerate_graphs, is_connected, parse_graph6
 from wordrep.split import split_partition
+takes_sp = "sp" in inspect.signature(_verdict_for).parameters
 witness, source = sys.argv[1] == "1", sys.argv[2]
 if source == "census":
     graphs = [g for g in enumerate_graphs(8) if is_connected(g)]
@@ -79,7 +82,8 @@ else:
 spent = {}
 for g in graphs:
     start = time.perf_counter()
-    reason = _verdict_for(g, split_partition(g), False, witness).reason
+    args = (split_partition(g),) if takes_sp else ()
+    reason = _verdict_for(g, *args, False, witness).reason
     row = spent.setdefault(reason, [0, 0.0])
     row[0] += 1
     row[1] += time.perf_counter() - start
@@ -90,9 +94,10 @@ print(json.dumps(spent))
 def split_oracle_corpus() -> list[str]:
     """graph6 lines of the ``split_oracle`` workload; the filter reads the
     split partition, reduction and G-decomposition of this tree."""
+    from wordrep.classify import _reduce
     from wordrep.graphs import Graph, write_graph6
     from wordrep.orient import find_transitive_orientation
-    from wordrep.split import _reduce, split_partition
+    from wordrep.split import split_partition
 
     lines = []
     for seed in (1, 2):
@@ -107,8 +112,8 @@ def split_oracle_corpus() -> list[str]:
                 for w in range(m, n):
                     edges += [(perm[c], perm[w]) for c in rng.sample(range(m), rng.randint(2, m - 1))]
                 g = Graph(n, edges)
-                rsp = _reduce(split_partition(g))
-                reduced = rsp.graph
+                reduced = _reduce(g)[0]
+                rsp = split_partition(reduced)
                 if (rsp.m >= 5 and find_transitive_orientation(reduced) is None
                         and any(reduced.degree(v) > 2 for v in rsp.independent)):
                     lines.append(write_graph6(g))

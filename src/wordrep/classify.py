@@ -3,21 +3,24 @@ forbidden-subgraph characterizations of word-representable split
 graphs.
 
 ``classify_graph`` is the one route every verdict takes, and one ladder
-decides it.  A split graph is reduced first, its dropped vertices left
-isolated, so every witness is in the input's labels.  Clique size at
-most three (split graphs only) or a transitive orientation means
-representable; for split graphs the degree-two characterization (avoid
-T2 and every A_l, read off the cover graph; the generic scan
-``find_a_ell`` is the tests' oracle) or the clique-four one (avoid
-T1-T4) decides next.  Past those, a vertex whose neighbourhood is not a
-comparability graph rules representability out (Halldórsson–Kitaev–
-Pyatkin, *Semi-transitive orientations and word-representable graphs*,
-DAM 2016), with a forcing chain as witness, and the exhaustive
-orientation search decides the rest.  A representable verdict's
-orientation comes from the rung that decided it, lifted from the
-reduced graph to the input.  Under verify=True every verdict the search
-of the input did not give is checked against it; a disagreement raises,
-because it would falsify one of the encoded theorems.
+decides it.  Every graph is reduced first (``_reduce``): a vertex of
+degree one goes, and so does one of two twins, each dropped vertex left
+isolated, so every witness is in the input's labels.  The ladder runs on
+the reduced graph, and a reason names the rung that decided it: K_7
+reduces to one vertex and reads CLIQUE_LE_3.  Clique size at most three
+(split graphs only) or a transitive orientation means representable;
+for split graphs the degree-two characterization (avoid T2 and every
+A_l, read off the cover graph; the generic scan ``find_a_ell`` is the
+tests' oracle) or the clique-four one (avoid T1-T4) decides next.  Past
+those, a vertex whose neighbourhood is not a comparability graph rules
+representability out (Halldórsson–Kitaev–Pyatkin, *Semi-transitive
+orientations and word-representable graphs*, DAM 2016), with a forcing
+chain as witness, and the exhaustive orientation search decides the
+rest.  A representable verdict's orientation comes from the rung that
+decided it, lifted to the input (``_lift``).  Under verify=True every
+verdict the search of the input did not give is checked against it; a
+disagreement raises, because it would falsify one of the encoded
+theorems.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from .orient import (
     find_semi_transitive_orientation,
     find_transitive_orientation,
     forcing_chain,
+    is_semi_transitive,
     orientation_bits,
 )
-from .split import SplitPartition, _lift, _orient_along, _reduce, split_partition
+from .split import SplitPartition, _orient_along, is_split, split_partition
 
 REASON_CLIQUE_LE_3 = "CLIQUE_LE_3"
 REASON_COMPARABILITY = "COMPARABILITY"
@@ -179,27 +183,61 @@ def classify_clique_four(sp: SplitPartition) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
+# Reduction moves that keep word-representability, and the lift back.
+
+
+def _reduce(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
+    """(h, log): g reduced one vertex at a time until no vertex has
+    degree one or a twin, a lesser vertex with an equal open row (false
+    twin) or closed row (true twin).  A dropped vertex keeps its label
+    and loses its edges; its log entry is (vertex, kept twin or -1, its
+    row when dropped).  h is g itself when nothing is dropped."""
+    adj, log = list(g.adj), []
+    while True:
+        seen = {}  # an open row never equals another vertex's closed row
+        for v, row in enumerate(adj):
+            if row:
+                kept = -1 if row & (row - 1) == 0 else seen.get(row, seen.get(row | 1 << v))
+                if kept is not None:
+                    break
+                seen[row] = seen[row | 1 << v] = v
+        else:
+            return (Graph._from_adj(g.n, tuple(adj)) if log else g), log
+        log.append((v, kept, row))
+        adj = [0 if w == v else r & ~(1 << v) for w, r in enumerate(adj)]
+
+
+def _lift(g: Graph, log: list[tuple[int, int, int]], og: OrientedGraph) -> OrientedGraph:
+    """g's orientation from og, one of ``_reduce(g)[0]``, replaying the
+    log backwards: a dropped vertex of degree one points out, as a source
+    of degree one is on no cycle and in no shortcut, and a dropped twin
+    copies its kept twin's arcs, a true twin's edge running from the kept
+    twin to it."""
+    out = list(og.out)
+    for v, kept, row in reversed(log):
+        out[v] = row if kept < 0 else out[kept] & row
+        for w in _bits(row & ~out[v]):  # in-neighbours, a true twin's kept twin among them
+            out[w] |= 1 << v
+    lifted = OrientedGraph._from_out(g, tuple(out))
+    assert is_semi_transitive(lifted)
+    return lifted
+
+
+# ---------------------------------------------------------------------------
 # Dispatcher.
 
 
-def classify_graph(
-    g: Graph, sp: SplitPartition | None, verify: bool = False, want_witness: bool = False
-) -> Verdict:
-    """Classify g, given its split partition (None when g is not split).
-
-    A split graph is reduced first, to h: g in its own labels with the
-    edges of every dropped vertex removed.  One ladder then runs on h (on
-    g itself when g is not split or nothing was dropped): CLIQUE_LE_3,
-    COMPARABILITY, THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD, then
-    ORACLE_SEARCH.  want_witness=True attaches to a representable
-    verdict the deciding rung's orientation of h, lifted to g.
-    verify=True re-decides every verdict the search of g did not give by
-    that same search, and raises OracleDisagreement on a mismatch.
+def classify_graph(g: Graph, verify: bool = False, want_witness: bool = False) -> Verdict:
+    """Classify g by one ladder run on h = ``_reduce(g)[0]``, with h's
+    split partition computed once: CLIQUE_LE_3, COMPARABILITY,
+    THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD, then ORACLE_SEARCH.
+    want_witness=True attaches to a representable verdict the deciding
+    rung's orientation of h, lifted to g.  verify=True re-decides every
+    verdict the search of g did not give by that same search, and raises
+    OracleDisagreement on a mismatch.
     """
-    h, og, whole = g, None, sp
-    if sp is not None:
-        sp = _reduce(sp)
-        h = sp.graph
+    h, log = _reduce(g)
+    sp, og = split_partition(h), None
     if sp is not None and sp.m <= 3:
         verdict = Verdict(True, REASON_CLIQUE_LE_3)
     elif (og := find_transitive_orientation(h)) is not None:
@@ -225,15 +263,14 @@ def classify_graph(
         og = _orient_along(h, sp.clique if sp.m <= 3 else _cover_walk(sp)[0])
     elif verdict.reason == REASON_MAIN2:
         og = find_semi_transitive_orientation(h)
-    return verdict._replace(witness=og if h is g else _lift(whole, og))
+    return verdict._replace(witness=_lift(g, log, og) if log else og)
 
 
 def classify_split(g: Graph, *, verify: bool = False, want_witness: bool = False) -> Verdict:
     """``classify_graph`` on a graph that must be split."""
-    sp = split_partition(g)
-    if sp is None:
+    if not is_split(g):
         raise ValueError("input graph is not split")
-    return classify_graph(g, sp, verify, want_witness)
+    return classify_graph(g, verify, want_witness)
 
 
 def _neighbourhood_verdict(g: Graph) -> Verdict | None:

@@ -4,8 +4,10 @@ orientation search and bounded word search.
 Graphs travel as graph6 text, one per line, on files or stdin.
 Machine-readable output is line-oriented JSON behind --json.
 `classify` and `census` take ``classify.classify_graph``'s one ladder,
-split graph or not; its reason tokens are CLIQUE_LE_3, COMPARABILITY,
-THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD and ORACLE_SEARCH.
+split graph or not, which runs on the graph reduced by dropping
+pendants and twins; its reason tokens, naming the rung that decided the
+reduced graph, are CLIQUE_LE_3, COMPARABILITY, THEOREM_MAIN1,
+THEOREM_MAIN2, NEIGHBOURHOOD and ORACLE_SEARCH.
 `census` classifies on every CPU the process may use, each forked
 worker taking its share of the catalogue's parents, and prints in
 catalogue order, as one process would.  ``Verdict`` writes each line's
@@ -99,7 +101,7 @@ def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
 def cmd_classify(args) -> int:
     parsed, errors = _parse_inputs(args.inputs)
     for g in parsed:
-        verdict = _verdict_for(g, split_partition(g), args.verify, args.witness)
+        verdict = _verdict_for(g, args.verify, args.witness)
         g6 = write_graph6(g)
         if args.json:
             payload = {"graph6": g6, **verdict.to_json()}
@@ -184,14 +186,14 @@ def cmd_census(args) -> int:
             connected = is_connected(g)
             if args.filter == "connected" and not connected:
                 continue
-            sp = split_partition(g)
-            if args.filter == "split" and sp is None:
+            split = args.filter == "split"
+            if split and not is_split(g):
                 continue
-            verdict = _verdict_for(g, sp)
+            verdict = _verdict_for(g)
             key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
             tally[key] = tally.get(key, 0) + 1
             if not verdict.representable:
-                found.append((write_graph6(g), sp is not None, connected))
+                found.append((write_graph6(g), split or is_split(g), connected))
         return tally, found
 
     parents = [g.adj for g in enumerate_graphs(n - 1, allow_large=allow_large,

@@ -6,14 +6,11 @@ and the partition come from the degree sequence alone (Hammer and
 Simeone); the forbidden-subgraph characterisation is the test suite's
 oracle for it.  Whether a split graph is a comparability graph is
 decided by the G-decomposition in ``orient``; the scan for the
-forbidden induced subgraphs B1-B3 is the tests' oracle for that.  The
-reduction moves that keep word-representability (``_reduce``) are
-internal: ``classify`` decides a split graph on its reduced form, g
-with every dropped vertex isolated, partitioned once, and ``_lift``
-carries its orientations back to g.  Under any semi-transitive
-orientation the clique is oriented transitively, fixing a Hamiltonian
-directed path through it, and every independent vertex falls into one
-of three patterns relative to that path:
+forbidden induced subgraphs B1-B3 is the tests' oracle for that.
+Under any semi-transitive orientation the clique is oriented
+transitively, fixing a Hamiltonian directed path through it, and every
+independent vertex falls into one of three patterns relative to that
+path:
 
   A - every edge leaves the vertex, into consecutive path positions;
   B - every edge enters the vertex, from consecutive path positions;
@@ -96,45 +93,7 @@ def is_split(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reduction moves that preserve word-representability (dropping
-# independent vertices of degree 0 or 1, and all but one of a class of
-# twins), the lift back through them, and the orientation along a path.
-
-
-def _classes(sp: SplitPartition) -> list[int | None]:
-    """``_reduce``'s classes: each vertex's least class member, None at low vertices."""
-    g, least = sp.graph, {}
-    low = sum(1 << v for v in sp.independent if g.degree(v) <= 1)
-    return [None if low >> v & 1 else least.setdefault(r & ~low, v) for v, r in enumerate(g.adj)]
-
-
-def _reduce(sp: SplitPartition) -> SplitPartition:
-    """The partition of h, g reduced in one pass: drop each independent
-    vertex of degree at most one, then all but the least of each class
-    of other vertices with equal neighbours outside those.  A dropped
-    vertex keeps its label and loses its edges.  Pendants go first
-    because dropping one can make twins; dropping a twin makes neither.
-    Returns sp itself when nothing is dropped."""
-    g = sp.graph
-    keep = sum(1 << v for v, r in enumerate(_classes(sp)) if r == v)
-    if keep.bit_count() == g.n:
-        return sp
-    adj = tuple(row & keep if keep >> v & 1 else 0 for v, row in enumerate(g.adj))
-    return split_partition(Graph._from_adj(g.n, adj))
-
-
-def _lift(sp: SplitPartition, og: OrientedGraph) -> OrientedGraph:
-    """g's orientation from og, one of ``_reduce(sp).graph``: an edge at
-    a low vertex leaves it, as a source of degree one is on no cycle and
-    in no shortcut, and any other edge copies og's arc between the least
-    of its ends' classes, so a dropped twin copies its kept twin's arcs."""
-    rep = _classes(sp)
-    lifted = OrientedGraph._from_out(sp.graph, tuple(
-        row if rep[v] is None else
-        sum(1 << w for w in _bits(row) if rep[w] is not None and og.out[rep[v]] >> rep[w] & 1)
-        for v, row in enumerate(sp.graph.adj)))
-    assert is_semi_transitive(lifted)
-    return lifted
+# The orientation along a path.
 
 
 def _orient_along(g: Graph, path: Sequence[int]) -> OrientedGraph:

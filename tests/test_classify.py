@@ -17,6 +17,8 @@ from wordrep.classify import (
     REASON_ORACLE,
     Verdict,
     _cover_walk,
+    _lift,
+    _reduce,
     classify_clique_four,
     classify_degree_two,
     classify_graph,
@@ -42,18 +44,18 @@ from wordrep.orient import (
     is_semi_transitive,
     is_transitive,
     orientation_bits,
+    semi_transitive_orientations,
 )
 from wordrep.split import (
     KIND_B,
     KIND_C,
     _orient_along,
-    _reduce,
     check_relative_order,
     classify_all,
     clique_path,
     split_partition,
 )
-from conftest import EXHAUSTIVE, random_split_graph
+from conftest import EXHAUSTIVE, random_graph, random_split_graph
 
 
 def _a_ell(g):
@@ -263,11 +265,9 @@ def test_classify_clique_four_examples():
 
 
 def test_classify_split_examples():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 7):  # K_n reduces to one vertex
         v = classify_split(families.complete(n))
         assert v.representable and v.reason == REASON_CLIQUE_LE_3
-    v = classify_split(families.complete(4))
-    assert v.representable and v.reason == REASON_COMPARABILITY
     v = classify_split(families.named("T3"))
     assert not v.representable and v.reason == REASON_MAIN2
     assert v.witness[0] == "T3"
@@ -316,6 +316,108 @@ def test_verdict_record():
     assert yes.to_text() == f"representable\tORACLE_SEARCH\torientation={orientation_bits(og)}"
     pattern = Verdict(False, REASON_MAIN1, witness=("T1", Embedding((3, 0, 1))))
     assert pattern.to_text() == "non-representable\tTHEOREM_MAIN1\twitness=T1:3,0,1"
+
+
+# Split graphs that the split-only reduction, false twins alone, left
+# to a search of g that did not end within minutes; each has true twins.
+KNOWN_HANGS = ("L^lzw?}^||~vn~", "M|n~|~~f^~BOg?ny?", "L{~hFYD~VZ|nzv", "MUv]}~~f}~r~c@???",
+               "LZ@pBkt^~zn~L~", "M~ufvvz}~f~^GC~~?", "MeBQCBUvMhzfPHvn?", "Maz[NZlr]Zxnr~z^_")
+
+
+def test_reduce_examples():
+    # a dropped vertex stays, isolated and under its own label
+    t1 = families.named("T1")
+    assert _reduce(t1) == (t1, [])
+    pendant = Graph(8, t1.edges() + [(6, 7)])
+    assert _reduce(pendant) == (Graph(8, t1.edges()), [(7, -1, 1 << 6)])
+    # 1 is a true twin of 0; then 3 and 4 are pendants of 0, and the
+    # path 5-2-0 that is left sheds one end after the other
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (2, 5)])
+    assert _reduce(g) == (Graph(6), [(1, 0, 0b11101), (3, -1, 1), (4, -1, 1), (0, -1, 1 << 2),
+                                     (2, -1, 1 << 5)])
+    # K2: one end goes as a pendant, and the other, now isolated, stays;
+    # a lift that dropped both would direct the edge both ways
+    k2 = Graph(2, [(0, 1)])
+    h, log = _reduce(k2)
+    assert (h, log) == (Graph(2), [(0, -1, 0b10)])
+    assert _lift(k2, log, OrientedGraph(h, [])).out == (0b10, 0)
+    # a path sheds one end at a time, down to one edge and then to one vertex
+    assert _reduce(Graph(5, [(i, i + 1) for i in range(4)])) == (
+        Graph(5), [(v, -1, 1 << v + 1) for v in range(4)])
+    # K_n drops true twins down to K2, whose first end then goes
+    for n in range(2, 8):
+        h, log = _reduce(families.complete(n))
+        assert h == Graph(n) and [v for v, _, _ in log] == [*range(1, n - 1), 0]
+    # the net loses its pendants, and its triangle then reduces too
+    net = families.named("B1")
+    h, log = _reduce(net)
+    assert h == Graph(6) and len(log) == 5
+    assert is_semi_transitive(_lift(net, log, OrientedGraph(h, [])))
+    # a true twin 5 of vertex 0 of C5: under each semi-transitive
+    # orientation of C5, 5 copies 0's arcs and the edge runs 0 -> 5
+    c5 = families.cycle(5)
+    g = Graph(6, c5.edges() + [(0, 5), (1, 5), (4, 5)])
+    h, log = _reduce(g)
+    assert (h, log) == (Graph(6, c5.edges()), [(5, 0, 0b10011)])
+    lifts = [_lift(g, log, og) for og in semi_transitive_orientations(h)]
+    assert lifts
+    for og in lifts:
+        assert og.out[0] >> 5 & 1 and og.out[5] == og.out[0] & ~(1 << 5)
+        assert all(og.out[w] >> 5 & 1 == og.out[w] & 1 for w in (1, 4))
+
+
+def test_reduce_reaches_a_fixpoint():
+    # every class with n <= 8, and seeded random split graphs with
+    # n <= 14: replaying the log on g drops, one at a time, a vertex of
+    # degree one or a twin of the kept vertex, ending at h, and h has
+    # neither, so it reduces to itself
+    rng = random.Random(21)
+    graphs = [g for n in range(9) for g in enumerate_graphs(n)]
+    for _ in range(3000):
+        g = random_split_graph(rng, rng.randint(1, 14))
+        perm = rng.sample(range(g.n), g.n)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    for g in graphs:
+        h, log = _reduce(g)
+        adj = list(g.adj)
+        for v, kept, row in log:
+            assert adj[v] == row, g.edges()
+            if kept < 0:
+                assert row.bit_count() == 1, g.edges()
+            else:
+                # equal open rows, or equal closed rows
+                assert kept != v and row in (adj[kept], adj[kept] ^ (1 << kept | 1 << v)), g.edges()
+            adj = [0 if w == v else r & ~(1 << v) for w, r in enumerate(adj)]
+        assert tuple(adj) == h.adj and (h is g) == (not log), g.edges()
+        assert _reduce(h) == (h, []), g.edges()
+
+
+def test_classify_decides_the_known_hangs():
+    # each verdict agrees with the search of the reduced graph, never
+    # of g, and a "yes" carries a lifted orientation of g
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("classification took more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        for line in KNOWN_HANGS:
+            g = parse_graph6(line)
+            signal.alarm(60)
+            v = classify_graph(g, want_witness=True)
+            h = _reduce(g)[0]
+            assert h != g
+            assert v.representable == (find_semi_transitive_orientation(h) is not None), line
+            signal.alarm(0)
+            _assert_certificate(g, v)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # an independent certificate for one of the "no"s: T1 is induced
+    g = parse_graph6("M~ufvvz}~f~^GC~~?")
+    assert not classify_graph(g).representable
+    assert Embedding((4, 0, 9, 5, 2, 12, 10)).is_valid(g, families.named("T1"))
 
 
 def test_classify_split_witness_maps_to_input_labels():
@@ -370,7 +472,7 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
         (Graph(11, families.k_triangle(5).edges() + [(0, 10)]), REASON_MAIN1),
         (Graph(10, m2.edges() + [(c, 9) for c in m2.neighbors(4)]), REASON_MAIN2),
     ):
-        h = _reduce(split_partition(g)).graph
+        h = _reduce(g)[0]
         assert h != g
         calls.clear()
         v = classify_split(g, want_witness=True)
@@ -380,16 +482,17 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
         calls.clear()
         v = classify_split(g, verify=True, want_witness=True)
         assert calls.count(g) == 1 and len(calls) == (2 if reason == REASON_MAIN2 else 1)
-    # a comparability graph that reduction leaves whole: the transitive
+    # a comparability graph that reduction leaves whole (K4 with two
+    # independent vertices on different clique pairs): the transitive
     # orientation is the witness, and verify alone searches g
-    k4 = families.complete(4)
-    assert _reduce(split_partition(k4)).graph is k4
+    whole = Graph(6, [(0, 3), (0, 4), (0, 5), (3, 4), (3, 5), (4, 5), (1, 3), (1, 5), (2, 4), (2, 5)])
+    assert _reduce(whole) == (whole, [])
     calls.clear()
-    v = classify_split(k4, want_witness=True)
+    v = classify_split(whole, want_witness=True)
     assert v.reason == REASON_COMPARABILITY and calls == []
     assert is_transitive(v.witness)
-    v = classify_split(k4, verify=True, want_witness=True)
-    assert calls == [k4] and is_transitive(v.witness)
+    v = classify_split(whole, verify=True, want_witness=True)
+    assert calls == [whole] and is_transitive(v.witness)
     # a disagreement still raises, and the CLI still exits 3 on it
     monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", lambda g: None)
     with pytest.raises(OracleDisagreement):
@@ -420,10 +523,9 @@ def test_split_witness_comes_from_the_deciding_rung(monkeypatch):
     graphs += [_random_degree_two_split(local) for _ in range(2000)]
     reasons = set()
     for g in graphs:
-        sp = split_partition(g)
-        h = _reduce(sp).graph
+        h = _reduce(g)[0]
         calls.clear()
-        v = classify_graph(g, sp, want_witness=True)
+        v = classify_graph(g, want_witness=True)
         reasons.add(v.reason)
         assert calls in ([], [h]), g.edges()
         if calls:
@@ -441,11 +543,10 @@ def test_orient_along_the_cover_walk_round_trips_through_the_typing():
     hosts = [families.k_triangle(l) for l in range(3, 13)]
     for n in range(9):
         for g in enumerate_graphs(n):
-            sp = split_partition(g)
-            if sp is not None:
-                v = classify_graph(g, sp)
+            if split_partition(g) is not None:
+                v = classify_graph(g)
                 if v.reason == REASON_MAIN1 and v.representable:
-                    hosts.append(_reduce(sp).graph)
+                    hosts.append(_reduce(g)[0])
     assert len(hosts) > 10
     for h in hosts:
         sp = split_partition(h)
@@ -478,18 +579,20 @@ def test_classify_split_agrees_on_random_split_graphs(rng):
 
 
 def test_classify_is_stable_under_padding_moves(rng):
-    # pendant and twin additions never change the verdict
-    for _ in range(40):
-        g = random_split_graph(rng, rng.randint(3, 7))
-        sp = split_partition(g)
-        base = classify_split(g).representable
-        if sp.clique:
-            pendant = Graph(g.n + 1, g.edges() + [(sp.clique[0], g.n)])
-            assert classify_split(pendant).representable == base
+    # pendant, false-twin and true-twin additions never change the
+    # verdict, on split hosts and on hosts that need not be split; verify
+    # holds each verdict to the search of the padded graph itself
+    hosts = [random_split_graph(rng, rng.randint(3, 7)) for _ in range(40)]
+    hosts += [random_graph(rng, rng.randint(3, 7), rng.random()) for _ in range(40)]
+    for g in hosts:
+        base = classify_graph(g, verify=True).representable
         v = rng.randrange(g.n)
-        twin = Graph(g.n + 1, g.edges() + [(w, g.n) for w in g.neighbors(v)])
-        if split_partition(twin) is not None:
-            assert classify_split(twin).representable == base
+        pendant, false_twin = [(v, g.n)], [(w, g.n) for w in g.neighbors(v)]
+        for pad in (pendant, false_twin, false_twin + pendant):
+            padded = Graph(g.n + 1, g.edges() + pad)
+            verdict = classify_graph(padded, verify=True, want_witness=True)
+            assert verdict.representable == base, padded.edges()
+            _assert_certificate(padded, verdict)
 
 
 def test_pipeline_agrees_with_the_engine_and_every_certificate_checks():
@@ -497,15 +600,14 @@ def test_pipeline_agrees_with_the_engine_and_every_certificate_checks():
     reasons = set()
     for n in range(nmax + 1):
         for g in enumerate_graphs(n):
-            sp = split_partition(g)
-            v = classify_graph(g, sp, want_witness=True)
+            v = classify_graph(g, want_witness=True)
             assert v.representable == (find_semi_transitive_orientation(g) is not None)
             reasons.add((v.representable, v.reason))
             assert isinstance(v.witness, OrientedGraph) == v.representable, g.edges()
             _assert_certificate(g, v)
             # the transitive orientation is the witness whenever
             # reduction removed nothing
-            if v.reason == REASON_COMPARABILITY and (sp is None or _reduce(sp).graph is g):
+            if v.reason == REASON_COMPARABILITY and _reduce(g)[0] is g:
                 assert is_transitive(v.witness)
     # every certificate kind turns up: an orientation, a pattern from
     # each theorem, a chain, and the search's bare "no"
@@ -529,7 +631,7 @@ def test_split_neighbourhood_chain_maps_to_input_labels():
         vertex, chain = v.witness
         assert v.to_json()["witness"] == {"vertex": vertex, "chain": [list(a) for a in chain]}
     for g in (padded, pendant_twin):
-        assert classify_split(g).witness == classify_graph(g, split_partition(g)).witness
+        assert classify_split(g).witness == classify_graph(g).witness
 
 
 def test_verify_rechecks_non_split_certificates(monkeypatch, tmp_path, capsys):
@@ -545,13 +647,13 @@ def test_verify_rechecks_non_split_certificates(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(classify_mod, "find_semi_transitive_orientation", counting)
     # one search per verdict, whichever route gave it
     for g, reason in (
-        (families.cycle(4), REASON_COMPARABILITY),
+        (families.cycle(6), REASON_COMPARABILITY),
         (families.named("W5"), REASON_NEIGHBOURHOOD),
         (families.cycle(5), REASON_ORACLE),
     ):
         assert split_partition(g) is None
         calls.clear()
-        v = classify_graph(g, None, verify=True, want_witness=True)
+        v = classify_graph(g, verify=True, want_witness=True)
         assert v.reason == reason and calls == [g]
         assert isinstance(v.witness, OrientedGraph) == v.representable
         _assert_certificate(g, v)
@@ -560,15 +662,15 @@ def test_verify_rechecks_non_split_certificates(monkeypatch, tmp_path, capsys):
     fake = Verdict(False, REASON_NEIGHBOURHOOD, witness=(0, ()))
     monkeypatch.setattr(classify_mod, "_neighbourhood_verdict", lambda g: fake)
     c5 = families.cycle(5)
-    assert classify_graph(c5, None) == fake
+    assert classify_graph(c5) == fake
     with pytest.raises(OracleDisagreement):
-        classify_graph(c5, None, verify=True)
+        classify_graph(c5, verify=True)
     w5 = families.named("W5")
     monkeypatch.setattr(classify_mod, "find_transitive_orientation",
                         lambda g: OrientedGraph(g, g.edges()))
-    assert classify_graph(w5, None).reason == REASON_COMPARABILITY
+    assert classify_graph(w5).reason == REASON_COMPARABILITY
     with pytest.raises(OracleDisagreement):
-        classify_graph(w5, None, verify=True)
+        classify_graph(w5, verify=True)
     path = tmp_path / "in.g6"
     path.write_text(write_graph6(w5) + "\n")
     assert main(["classify", str(path)]) == 0

@@ -56,7 +56,8 @@ def test_classify_lines(tmp_path, capsys):
     assert lines[0].split("\t")[1:3] == ["non-representable", "NEIGHBOURHOOD"]
     assert lines[1].split("\t")[1:3] == ["non-representable", "THEOREM_MAIN1"]
     assert "witness=A_4:" in lines[1]
-    assert lines[2].split("\t")[1:3] == ["representable", "COMPARABILITY"]
+    # K4 reduces to one vertex, and the reason names the rung that decided it
+    assert lines[2].split("\t")[1:3] == ["representable", "CLIQUE_LE_3"]
 
 
 def test_classify_json_schema(tmp_path, capsys):
@@ -118,7 +119,7 @@ def test_classify_reads_stdin(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert [line.split("\t")[1:3] for line in lines] == [
-        ["representable", "COMPARABILITY"],
+        ["representable", "CLIQUE_LE_3"],
         ["non-representable", "NEIGHBOURHOOD"],
     ]
     assert len(err.splitlines()) == 1 and err.startswith("line 3: ")

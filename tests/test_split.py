@@ -1,5 +1,5 @@
-"""Split-graph structure: recognition, partitioning, reduction, the
-comparability test, vertex typing, relative-order restrictions, the
+"""Split-graph structure: recognition, partitioning, the reduction's
+effect on split graphs, the comparability test, vertex typing, relative-order restrictions, the
 structural semi-transitivity characterization, and A/B flips."""
 
 import itertools
@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 
 from wordrep import families
+from wordrep.classify import _reduce
 from wordrep.graphs import Graph, contains_induced, enumerate_graphs
 from wordrep.orient import (
     OrientedGraph,
@@ -22,7 +23,6 @@ from wordrep.split import (
     KIND_B,
     KIND_C,
     KIND_INVALID,
-    _reduce,
     SplitPartition,
     VertexTypeReport,
     check_main_orientation,
@@ -187,55 +187,10 @@ def test_split_partition_matches_clique_oracle_on_random_graphs(rng):
     assert ties > 50
 
 
-def test_reduce_examples():
-    t1 = families.named("T1")
-    apex = next(v for v in range(7) if t1.degree(v) == 3)
-    pendant = Graph(8, t1.edges() + [(apex, 7)])
-    # a dropped vertex stays, isolated and under its own label
-    assert _reduce(split_partition(pendant)).graph == Graph(8, t1.edges())
-    isolated = Graph(8, t1.edges())
-    assert _reduce(split_partition(isolated)).graph == Graph(8, t1.edges())
-    # 5 is a pendant; once it goes, 3 and 4 are twins of clique vertex 2
-    twin = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (2, 5)])
-    assert _reduce(split_partition(twin)).graph == Graph(6, [(0, 1), (0, 2), (1, 2)])
-    # K4 has no open twins and must survive unchanged
-    assert _reduce(split_partition(families.complete(4))).graph == families.complete(4)
-
-
 def test_reduce_preserves_representability():
     nmax = 7 if EXHAUSTIVE else 6
-    for g, sp in split_graphs_up_to(nmax):
-        reduced = _reduce(sp)
-        assert is_word_representable(g) == is_word_representable(reduced.graph)
-
-
-def test_reduce_reaches_the_fixpoint_in_one_pass():
-    # every split class with n <= 8 and seeded random split graphs with
-    # n <= 14: h is reduced, it is g with the dropped vertices' edges
-    # removed, and each dropped vertex was an independent vertex of
-    # degree at most one, or had the neighbours of a lesser kept vertex
-    # outside those
-    rng = random.Random(21)
-    graphs = [g for g, _ in split_graphs_up_to(8)]
-    graphs += [_relabelled(rng, random_split_graph(rng, rng.randint(1, 14))) for _ in range(3000)]
-    for g in graphs:
-        sp = split_partition(g)
-        reduced = _reduce(sp)
-        h = reduced.graph
-        assert _reduce(reduced).graph == h, g.edges()
-        assert all(h.degree(v) != 1 for v in reduced.independent), g.edges()
-        rows = [row for row in h.adj if row]
-        assert len(set(rows)) == len(rows), g.edges()
-        low = sum(1 << v for v in sp.independent if g.degree(v) <= 1)
-        kept = [v for v in range(g.n) if h.adj[v] or not g.adj[v]]
-        keep = sum(1 << v for v in kept)
-        for v in range(g.n):
-            if v in kept:
-                assert h.adj[v] == g.adj[v] & keep, g.edges()
-            else:
-                assert low >> v & 1 or any(
-                    u < v and g.adj[u] & ~low == g.adj[v] & ~low for u in kept
-                ), g.edges()
+    for g, _ in split_graphs_up_to(nmax):
+        assert is_word_representable(g) == is_word_representable(_reduce(g)[0])
 
 
 def test_is_split_comparability_examples():
