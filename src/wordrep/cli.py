@@ -175,7 +175,8 @@ def cmd_census(args) -> int:
     counts: dict[str, int] = {}
     total = non_rep = connected_non_rep = 0
     # split graphs are closed under vertex deletion: grow them from split parents
-    hereditary = is_split if args.filter == "split" else None
+    split_only = args.filter == "split"
+    hereditary = is_split if split_only else None
 
     def record(padj):
         """The class count per reason key of one parent's children (of
@@ -186,14 +187,13 @@ def cmd_census(args) -> int:
             connected = is_connected(g)
             if args.filter == "connected" and not connected:
                 continue
-            split = args.filter == "split"
-            if split and not is_split(g):
+            if split_only and not is_split(g):
                 continue
             verdict = _verdict_for(g)
             key = ("" if verdict.representable else "non-") + f"representable/{verdict.reason}"
             tally[key] = tally.get(key, 0) + 1
             if not verdict.representable:
-                found.append((write_graph6(g), split or is_split(g), connected))
+                found.append((write_graph6(g), split_only or is_split(g), connected))
         return tally, found
 
     parents = [g.adj for g in enumerate_graphs(n - 1, allow_large=allow_large,

@@ -318,8 +318,8 @@ def test_verdict_record():
     assert pattern.to_text() == "non-representable\tTHEOREM_MAIN1\twitness=T1:3,0,1"
 
 
-# Split graphs that the split-only reduction, false twins alone, left
-# to a search of g that did not end within minutes; each has true twins.
+# Split graphs on 13 and 14 vertices whose search ran past a 5 s alarm
+# when only false twins were dropped; each has true twins.
 KNOWN_HANGS = ("L^lzw?}^||~vn~", "M|n~|~~f^~BOg?ny?", "L{~hFYD~VZ|nzv", "MUv]}~~f}~r~c@???",
                "LZ@pBkt^~zn~L~", "M~ufvvz}~f~^GC~~?", "MeBQCBUvMhzfPHvn?", "Maz[NZlr]Zxnr~z^_")
 
@@ -485,7 +485,8 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
     # a comparability graph that reduction leaves whole (K4 with two
     # independent vertices on different clique pairs): the transitive
     # orientation is the witness, and verify alone searches g
-    whole = Graph(6, [(0, 3), (0, 4), (0, 5), (3, 4), (3, 5), (4, 5), (1, 3), (1, 5), (2, 4), (2, 5)])
+    k4 = [(0, 3), (0, 4), (0, 5), (3, 4), (3, 5), (4, 5)]
+    whole = Graph(6, k4 + [(1, 3), (1, 5), (2, 4), (2, 5)])
     assert _reduce(whole) == (whole, [])
     calls.clear()
     v = classify_split(whole, want_witness=True)
