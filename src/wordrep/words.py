@@ -15,7 +15,12 @@ per-pair scan that the tests check the rule against.
 Only a bounded witness search is offered here (uniform words up to a
 caller-chosen uniformity), a depth-first loop over an explicit stack;
 deciding representability outright is the business of the orientation
-module.
+module.  The search borrows its shortcut rule: orienting each edge of
+a uniform representant from the letter that occurs first gives a
+semi-transitive orientation (Halldórsson, Kitaev and Pyatkin,
+Semi-transitive orientations and word-representable graphs, Discrete
+Appl. Math. 2016), so a prefix whose first copies already fix a
+shortcut has no representant below it.
 """
 
 from __future__ import annotations
@@ -142,27 +147,39 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
     """Depth-first search for a k-uniform representant of g.
 
     A stack entry is (letters to try, parent's word, remaining copies,
-    pos, broken masks, used-up mask).  Siblings share the parent's
-    state, which is copied on pop and never mutated.  Placing a letter
-    prunes when it repeats an edge pair.  Using c up prunes when c still
-    alternates with a non-neighbour d: d has k or k - 1 copies placed,
-    any last one comes after c's, so {c, d} would end alternating.  No
-    prune cuts a representant.  An entry tries its least letter after
-    pushing back the rest, so the lexicographically least word comes
-    first and the stack holds at most two entries per level.  Only
-    letter 0 may start the word (the cyclic-shift cut).
+    pos, broken masks, used-up mask, seen mask of the letters placed).
+    Siblings share the parent's state, which is copied on pop and never
+    mutated.  Three prunes, none of which cuts a representant:
+
+    - placing a letter prunes when it repeats an edge pair;
+    - using c up prunes when c still alternates with a non-neighbour d:
+      d has k or k - 1 copies placed, any last one comes after c's, so
+      {c, d} would end alternating;
+    - placing c's first copy prunes when the arcs that first copies fix
+      hold a shortcut (``_fixes_a_shortcut``).
+
+    An entry tries its least letter after pushing back the rest, so the
+    lexicographically least word comes first and the stack holds at
+    most two entries per level.  Only letter 0 may start the word (the
+    cyclic-shift cut).
     """
     n = g.n
     full = (1 << n) - 1
-    stack = [(1, (), [k] * n, [-1] * n, [0] * n, 0)]
+    # per letter, written at its first copy, read only while it is seen
+    anc, bad, cover = [0] * n, [0] * n, [0] * n
+    stack = [(1, (), [k] * n, [-1] * n, [0] * n, 0, 0)]
     while stack:
-        letters, word, remaining, pos, broken, used = stack.pop()
+        letters, word, remaining, pos, broken, used, seen = stack.pop()
         c = (letters & -letters).bit_length() - 1
         if letters ^ 1 << c:
-            stack.append((letters ^ 1 << c, word, remaining, pos, broken, used))
+            stack.append((letters ^ 1 << c, word, remaining, pos, broken, used, seen))
         repeats = _repeats(pos, c)
         if repeats & g.adj[c]:
             continue
+        if not seen >> c & 1:
+            if _fixes_a_shortcut(g.adj, seen, c, anc, bad, cover):
+                continue
+            seen |= 1 << c
         remaining, pos, broken = remaining[:], pos[:], broken[:]
         broken[c] |= repeats
         for d in _bits(repeats):
@@ -177,8 +194,53 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
         if len(word) == n * k:
             assert represents(word, g)
             return word
-        stack.append((full & ~used, word, remaining, pos, broken, used))
+        stack.append((full & ~used, word, remaining, pos, broken, used, seen))
     return None
+
+
+def _fixes_a_shortcut(adj: tuple[int, ...], seen: int, c: int,
+                      anc: list[int], bad: list[int], cover: list[int]) -> bool:
+    """Place c's first copy after the seen letters' and write c's sets.
+
+    First occurrence fixes a -> c for each seen neighbour a of c, and
+    c -> b for each unseen neighbour b.  The first-occurrence
+    orientation of a uniform representant is semi-transitive
+    (Halldórsson, Kitaev and Pyatkin), so True means no word below.  A
+    shortcut new here has its path end at c, or run on to an unseen
+    neighbour b of c with {a, b} an edge.  anc[c] is the set of letters
+    that reach c, bad[c] the letters a with a path a ~> x ~> y ~> c
+    where x and y are not adjacent, and cover[c] the letters adjacent or
+    equal to c and to each letter of anc[c].  Both unions skip a letter
+    already reached: its sets are inside those of the letter before it.
+    """
+    anc_c, bad_c, cover_c = 0, 0, adj[c] | 1 << c
+    rest = seen & adj[c]
+    while rest:
+        p = rest.bit_length() - 1
+        anc_c |= anc[p] | 1 << p
+        bad_c |= bad[p]
+        cover_c &= cover[p]
+        rest &= ~anc_c
+    rest = anc_c & ~adj[c] & ~bad_c
+    while rest:
+        x = rest.bit_length() - 1
+        bad_c |= anc[x] | 1 << x
+        rest &= ~bad_c
+    anc[c], bad[c], cover[c] = anc_c, bad_c, cover_c
+    if bad_c & adj[c]:
+        return True
+    # a path x ~> c -> b with x not adjacent to b needs b outside cover_c
+    ahead = adj[c] & ~seen
+    for b in _bits(ahead if bad_c else ahead & ~cover_c):
+        if bad_c & adj[b]:
+            return True
+        rest = anc_c & ~adj[b]
+        while rest:
+            x = rest.bit_length() - 1
+            if anc[x] & adj[b]:
+                return True
+            rest &= ~anc[x] & ~(1 << x)
+    return False
 
 
 # ---------------------------------------------------------------------------

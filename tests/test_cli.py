@@ -540,6 +540,27 @@ def test_represent_roundtrip(tmp_path, capsys):
     assert lines[1].endswith("\tnone")
 
 
+def test_represent_gives_up_quickly_on_non_representable_graphs(tmp_path, capsys):
+    # the first copies' shortcut prune keeps the search small at every
+    # uniformity; without it T1 took 28 s at k = 4 alone
+    import signal
+
+    def expire(signum, frame):
+        raise TimeoutError("represent took more than 10 s")
+
+    path = tmp_path / "in.g6"
+    path.write_text(f"{g6('W5')}\n{g6('T1')}\n")
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.alarm(10)
+        code, out, err = run(capsys, "represent", str(path), "--max-uniformity", "6")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and err == ""
+    assert out == f"{g6('W5')}\tnone\n{g6('T1')}\tnone\n"
+
+
 def test_represent_check(tmp_path, capsys):
     path = tmp_path / "in.g6"
     path.write_text(g6("FIG2_EXAMPLE") + "\n")

@@ -8,9 +8,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import random_graph
+from conftest import EXHAUSTIVE, random_graph
+from shortcut_witness import find_shortcut
 from wordrep import families
 from wordrep.graphs import Graph, _bits, enumerate_graphs
+from wordrep.orient import OrientedGraph, is_semi_transitive
 from wordrep.words import (
     _repeats,
     _search_uniform,
@@ -186,8 +188,9 @@ def test_find_representant_returns_the_least_word(max_n, max_uniformity):
 
 
 def search_uniform_unpruned(g: Graph, k: int):
-    """Oracle for ``_search_uniform``: the same search, whose use-up
-    check looks only at the non-neighbours already used up."""
+    """Oracle for ``_search_uniform``: the same search without the
+    first-copy shortcut prune, whose use-up check looks only at the
+    non-neighbours already used up."""
     n = g.n
     stack = [(1, (), [k] * n, [-1] * n, [0] * n, 0)]
     while stack:
@@ -216,9 +219,9 @@ def search_uniform_unpruned(g: Graph, k: int):
 
 
 def test_word_search_prune_keeps_the_unpruned_answer():
-    # the use-up prune drops only subtrees without a word, so the least
-    # word (or None) is the oracle's; K_TRIANGLE 5 stops at k = 1
-    # because the oracle takes minutes at k = 2
+    # the use-up and first-copy prunes drop only subtrees without a
+    # word, so the least word (or None) is the oracle's; K_TRIANGLE 5
+    # stops at k = 1 because the oracle takes minutes at k = 2
     rng = random.Random(14)
     cases = [(g, k) for n in range(1, 7) for g in enumerate_graphs(n) for k in (1, 2, 3)]
     for g in [families.k_triangle(l) for l in (3, 4, 5)] + [families.cycle(5), families.cycle(7)]:
@@ -229,8 +232,40 @@ def test_word_search_prune_keeps_the_unpruned_answer():
     for _ in range(60):
         g = random_graph(rng, 7)
         cases += [(g, 1), (g, 2)]
+    # W5 has no word at any uniformity; the oracle takes 0.3 s at k = 4
+    perm = list(range(6))
+    rng.shuffle(perm)
+    cases.append((Graph(6, [(perm[u], perm[v]) for u, v in families.named("W5").edges()]), 4))
+    if EXHAUSTIVE:
+        cases += [(g, k) for g in enumerate_graphs(7) for k in (1, 2, 3)]
     for g, k in cases:
         assert _search_uniform(g, k) == search_uniform_unpruned(g, k)
+
+
+def first_occurrence_orientation(w) -> OrientedGraph:
+    """alternation_graph(w) with each edge directed from the letter
+    that occurs first."""
+    n = len(set(w))
+    first = [w.index(c) for c in range(n)]
+    g = alternation_graph(w, n)
+    return OrientedGraph(g, [(a, b) if first[a] < first[b] else (b, a) for a, b in g.edges()])
+
+
+def test_first_occurrence_orientation_of_a_uniform_word_is_semi_transitive():
+    # the lemma the search's first-copy prune rests on, checked by the
+    # engine's closure and by the independent path walk
+    words = [w for n in range(1, 7) for g in enumerate_graphs(n)
+             if (w := find_representant(g, 3)) is not None]
+    rng = random.Random(27)
+    for _ in range(200):
+        n, k = rng.randint(1, 8), rng.randint(1, 3)
+        w = list(range(n)) * k
+        rng.shuffle(w)
+        words.append(tuple(w))
+    for w in words:
+        og = first_occurrence_orientation(w)
+        assert is_semi_transitive(og), w
+        assert find_shortcut(og) is None, w
 
 
 def test_alternation_graph_and_defect_agree_with_alternate():
