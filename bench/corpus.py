@@ -14,8 +14,8 @@ Workloads:
   degree at least 3 and no transitive orientation (24 graphs, with
   ``--witness``);
 - ``split_fastpath_1``: the benchmark's ``split_fastpath`` corpus at
-  seed 1, 804 split graphs that clique size, a transitive orientation
-  or the two split theorems decide, classified with ``--witness``.  A
+  seed 1, 804 split graphs that a transitive orientation or the two
+  split theorems decide, classified with ``--witness``.  A
   representable verdict's witness is the deciding rung's orientation of
   the reduced graph, lifted to the input; only a ``THEOREM_MAIN2``
   witness takes a search, of the reduced graph, which has m = 4;
@@ -66,14 +66,10 @@ SEEDS = (1, 7919)
 CLI = "from wordrep.cli import console_main; console_main()"
 # Runs in the measured tree: classify each graph once through the CLI's
 # own route and print, per reason, the count and the seconds.
-# A tree whose _verdict_for still takes the split partition (before the
-# reduction ran on every graph) is handed it, as its CLI did.
 ROUTES = """
-import inspect, json, sys, time
+import json, sys, time
 from wordrep.cli import _verdict_for
 from wordrep.graphs import enumerate_graphs, is_connected, parse_graph6
-from wordrep.split import split_partition
-takes_sp = "sp" in inspect.signature(_verdict_for).parameters
 witness, source = sys.argv[1] == "1", sys.argv[2]
 if source == "census":
     graphs = [g for g in enumerate_graphs(8) if is_connected(g)]
@@ -82,8 +78,7 @@ else:
 spent = {}
 for g in graphs:
     start = time.perf_counter()
-    args = (split_partition(g),) if takes_sp else ()
-    reason = _verdict_for(g, *args, False, witness).reason
+    reason = _verdict_for(g, False, witness).reason
     row = spent.setdefault(reason, [0, 0.0])
     row[0] += 1
     row[1] += time.perf_counter() - start

@@ -7,11 +7,11 @@ decides it.  Every graph is reduced first (``_reduce``): a vertex of
 degree one goes, and so does one of two twins, each dropped vertex left
 isolated, so every witness is in the input's labels.  The ladder runs on
 the reduced graph, and a reason names the rung that decided it: K_7
-reduces to one vertex and reads CLIQUE_LE_3.  Clique size at most three
-(split graphs only) or a transitive orientation means representable;
-for split graphs the degree-two characterization (avoid T2 and every
-A_l, read off the cover graph; the generic scan ``find_a_ell`` is the
-tests' oracle) or the clique-four one (avoid T1-T4) decides next.  Past
+reduces to one vertex and reads COMPARABILITY.  A transitive
+orientation means representable; for split graphs the degree-two
+characterization (avoid T2 and every A_l, read off the cover graph; the
+generic scan ``find_a_ell`` is the tests' oracle) or the clique-four
+one (avoid T1-T4) decides next.  Past
 those, a vertex whose neighbourhood is not a comparability graph rules
 representability out (Halldórsson–Kitaev–Pyatkin, *Semi-transitive
 orientations and word-representable graphs*, DAM 2016), with a forcing
@@ -40,7 +40,6 @@ from .orient import (
 )
 from .split import SplitPartition, _orient_along, is_split, split_partition
 
-REASON_CLIQUE_LE_3 = "CLIQUE_LE_3"
 REASON_COMPARABILITY = "COMPARABILITY"
 REASON_MAIN1 = "THEOREM_MAIN1"
 REASON_MAIN2 = "THEOREM_MAIN2"
@@ -228,21 +227,19 @@ def _lift(g: Graph, log: list[tuple[int, int, int]], og: OrientedGraph) -> Orien
 
 
 def classify_graph(g: Graph, verify: bool = False, want_witness: bool = False) -> Verdict:
-    """Classify g by one ladder run on h = ``_reduce(g)[0]``, with h's
-    split partition computed once: CLIQUE_LE_3, COMPARABILITY,
-    THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD, then ORACLE_SEARCH.
+    """Classify g by one ladder run on h = ``_reduce(g)[0]``:
+    COMPARABILITY, THEOREM_MAIN1, THEOREM_MAIN2, NEIGHBOURHOOD, then
+    ORACLE_SEARCH.  h's split partition, read by the two theorems only,
+    is computed once h has no transitive orientation.
     want_witness=True attaches to a representable verdict the deciding
     rung's orientation of h, lifted to g.  verify=True re-decides every
     verdict the search of g did not give by that same search, and raises
     OracleDisagreement on a mismatch.
     """
     h, log = _reduce(g)
-    sp, og = split_partition(h), None
-    if sp is not None and sp.m <= 3:
-        verdict = Verdict(True, REASON_CLIQUE_LE_3)
-    elif (og := find_transitive_orientation(h)) is not None:
+    if (og := find_transitive_orientation(h)) is not None:
         verdict = Verdict(True, REASON_COMPARABILITY)
-    elif sp is not None and all(h.degree(v) <= 2 for v in sp.independent):
+    elif (sp := split_partition(h)) is not None and all(h.degree(v) <= 2 for v in sp.independent):
         verdict = classify_degree_two(sp)
     elif sp is not None and sp.m == 4:
         verdict = classify_clique_four(sp)
@@ -259,8 +256,8 @@ def classify_graph(g: Graph, verify: bool = False, want_witness: bool = False) -
     if not (want_witness and verdict.representable):
         return verdict
     # witness: the deciding rung's orientation of h, lifted to g
-    if verdict.reason in (REASON_CLIQUE_LE_3, REASON_MAIN1):  # m <= 3: any order will do
-        og = _orient_along(h, sp.clique if sp.m <= 3 else _cover_walk(sp)[0])
+    if verdict.reason == REASON_MAIN1:
+        og = _orient_along(h, _cover_walk(sp)[0])
     elif verdict.reason == REASON_MAIN2:
         og = find_semi_transitive_orientation(h)
     return verdict._replace(witness=_lift(g, log, og) if log else og)

@@ -6,8 +6,8 @@ Machine-readable output is line-oriented JSON behind --json.
 `classify` and `census` take ``classify.classify_graph``'s one ladder,
 split graph or not, which runs on the graph reduced by dropping
 pendants and twins; its reason tokens, naming the rung that decided the
-reduced graph, are CLIQUE_LE_3, COMPARABILITY, THEOREM_MAIN1,
-THEOREM_MAIN2, NEIGHBOURHOOD and ORACLE_SEARCH.
+reduced graph, are COMPARABILITY, THEOREM_MAIN1, THEOREM_MAIN2,
+NEIGHBOURHOOD and ORACLE_SEARCH.
 `census` classifies on every CPU the process may use, each forked
 worker taking its share of the catalogue's parents, and prints in
 catalogue order, as one process would.  ``Verdict`` writes each line's

@@ -134,8 +134,6 @@ def find_representant(g: Graph, max_uniformity: int) -> Word | None:
     """
     if max_uniformity < 1:
         raise ValueError("max_uniformity must be at least 1")
-    if g.n == 0:
-        return ()
     for k in range(1, max_uniformity + 1):
         w = _search_uniform(g, k)
         if w is not None:
@@ -164,6 +162,8 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
     cyclic-shift cut).
     """
     n = g.n
+    if n == 0:
+        return ()
     full = (1 << n) - 1
     # per letter, written at its first copy, read only while it is seen
     anc, bad, cover = [0] * n, [0] * n, [0] * n

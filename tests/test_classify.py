@@ -9,7 +9,6 @@ import pytest
 
 from wordrep import families
 from wordrep.classify import (
-    REASON_CLIQUE_LE_3,
     REASON_COMPARABILITY,
     REASON_MAIN1,
     REASON_MAIN2,
@@ -267,7 +266,7 @@ def test_classify_clique_four_examples():
 def test_classify_split_examples():
     for n in (1, 2, 3, 4, 7):  # K_n reduces to one vertex
         v = classify_split(families.complete(n))
-        assert v.representable and v.reason == REASON_CLIQUE_LE_3
+        assert v.representable and v.reason == REASON_COMPARABILITY
     v = classify_split(families.named("T3"))
     assert not v.representable and v.reason == REASON_MAIN2
     assert v.witness[0] == "T3"
@@ -370,7 +369,11 @@ def test_reduce_reaches_a_fixpoint():
     # every class with n <= 8, and seeded random split graphs with
     # n <= 14: replaying the log on g drops, one at a time, a vertex of
     # degree one or a twin of the kept vertex, ending at h, and h has
-    # neither, so it reduces to itself
+    # neither, so it reduces to itself.  When h is split with clique
+    # size at most three, its non-isolated part is edgeless, the gem or
+    # the 3-sun B2, so COMPARABILITY or THEOREM_MAIN1 decides it
+    gem = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
+    b2 = families.named("B2")
     rng = random.Random(21)
     graphs = [g for n in range(9) for g in enumerate_graphs(n)]
     for _ in range(3000):
@@ -390,6 +393,10 @@ def test_reduce_reaches_a_fixpoint():
             adj = [0 if w == v else r & ~(1 << v) for w, r in enumerate(adj)]
         assert tuple(adj) == h.adj and (h is g) == (not log), g.edges()
         assert _reduce(h) == (h, []), g.edges()
+        sp = split_partition(h)
+        if sp is not None and sp.m <= 3:
+            core = induced_subgraph(h, [v for v in range(h.n) if h.adj[v]])
+            assert core.n == 0 or is_isomorphic(core, gem) or is_isomorphic(core, b2), g.edges()
 
 
 def test_classify_decides_the_known_hangs():
@@ -467,7 +474,7 @@ def test_verify_and_witness_share_one_search(monkeypatch, tmp_path, capsys):
     # no search of g, and THEOREM_MAIN2 searches h
     b2, m6, m2 = families.named("B2"), families.named("M6"), families.named("M2")
     for g, reason in (
-        (Graph(7, b2.edges() + [(1, 6)]), REASON_CLIQUE_LE_3),
+        (Graph(7, b2.edges() + [(1, 6)]), REASON_MAIN1),
         (Graph(9, m6.edges() + [(c, 8) for c in m6.neighbors(4)]), REASON_COMPARABILITY),
         (Graph(11, families.k_triangle(5).edges() + [(0, 10)]), REASON_MAIN1),
         (Graph(10, m2.edges() + [(c, 9) for c in m2.neighbors(4)]), REASON_MAIN2),
@@ -533,7 +540,7 @@ def test_split_witness_comes_from_the_deciding_rung(monkeypatch):
             assert v.reason == REASON_ORACLE or v.reason == REASON_MAIN2 and v.representable
         assert isinstance(v.witness, OrientedGraph) == v.representable, g.edges()
         _assert_certificate(g, v)
-    assert {REASON_CLIQUE_LE_3, REASON_COMPARABILITY, REASON_MAIN1, REASON_MAIN2} <= reasons
+    assert {REASON_COMPARABILITY, REASON_MAIN1, REASON_MAIN2} <= reasons
 
 
 def test_orient_along_the_cover_walk_round_trips_through_the_typing():

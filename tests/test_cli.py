@@ -57,7 +57,7 @@ def test_classify_lines(tmp_path, capsys):
     assert lines[1].split("\t")[1:3] == ["non-representable", "THEOREM_MAIN1"]
     assert "witness=A_4:" in lines[1]
     # K4 reduces to one vertex, and the reason names the rung that decided it
-    assert lines[2].split("\t")[1:3] == ["representable", "CLIQUE_LE_3"]
+    assert lines[2].split("\t")[1:3] == ["representable", "COMPARABILITY"]
 
 
 def test_classify_json_schema(tmp_path, capsys):
@@ -119,7 +119,7 @@ def test_classify_reads_stdin(capsys, monkeypatch):
     assert code == 1
     lines = out.splitlines()
     assert [line.split("\t")[1:3] for line in lines] == [
-        ["representable", "CLIQUE_LE_3"],
+        ["representable", "COMPARABILITY"],
         ["non-representable", "NEIGHBOURHOOD"],
     ]
     assert len(err.splitlines()) == 1 and err.startswith("line 3: ")

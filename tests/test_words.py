@@ -127,6 +127,7 @@ def test_find_representant_examples():
     assert w is not None and represents(w, Graph(3))
     assert find_representant(families.named("W5"), 3) is None
     assert find_representant(Graph(0), 2) == ()
+    assert all(_search_uniform(Graph(0), k) == () for k in (1, 2, 3))
     with pytest.raises(ValueError):
         find_representant(families.complete(2), 0)
 
