@@ -11,13 +11,15 @@ reduces to one vertex and reads COMPARABILITY.  A transitive
 orientation means representable; for split graphs the degree-two
 characterization (avoid T2 and every A_l, read off the cover graph; the
 generic scan ``find_a_ell`` is the tests' oracle) or the clique-four
-one (avoid T1-T4) decides next.  Past
-those, a vertex whose neighbourhood is not a comparability graph rules
-representability out (Halldórsson–Kitaev–Pyatkin, *Semi-transitive
-orientations and word-representable graphs*, DAM 2016), with a forcing
-chain as witness, and the exhaustive orientation search decides the
-rest.  A representable verdict's orientation comes from the rung that
-decided it, lifted to the input (``_lift``).  Under verify=True every
+one (avoid T1-T4) decides next.  A split graph whose clique has at most
+three vertices needs no rung of its own: reduced, it is edgeless, the
+gem or the 3-sun but for isolated vertices.  Past those, a vertex whose
+neighbourhood is not a comparability graph rules representability out
+(Halldórsson–Kitaev–Pyatkin, *Semi-transitive orientations and
+word-representable graphs*, DAM 2016), with a forcing chain as
+witness, and the exhaustive orientation search decides the rest.  A
+representable verdict's orientation comes from the rung that decided
+it, lifted to the input (``_lift``).  Under verify=True every
 verdict the search of the input did not give is checked against it; a
 disagreement raises, because it would falsify one of the encoded
 theorems.
