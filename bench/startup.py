@@ -8,13 +8,18 @@ from spawn to exit:
 - ``orient_count_w5``: ``orient --count`` on W5 (graph6 ``Ehfw``);
 - ``represent_c5``: ``represent`` on C5 (graph6 ``Dhc``).
 
-Each call runs in two bytecode-cache states.  ``cold`` runs with ``-B``
-and an empty temporary ``PYTHONPYCACHEPREFIX``, so every module the call
-imports that is not frozen into the interpreter, the standard library's
-as well as ``wordrep``'s, is compiled from source.  ``warm`` runs with a
-temporary prefix that one untimed run of the call fills first, so every
-module is read from bytecode.  Neither state writes under ``src/``.
-Rows are ``<call>_<state>_min_ms`` and ``<call>_<state>_median_ms``.
+Each call runs in three bytecode-cache states, all with ``-B``.
+``cold`` runs with an empty temporary ``PYTHONPYCACHEPREFIX``, so every
+module the call imports that is not frozen into the interpreter, the
+standard library's as well as ``wordrep``'s, is compiled from source.
+``warm`` runs with a temporary prefix that one untimed run of the call
+fills first, so every module is read from bytecode.  ``bench`` is the
+state of the benchmark's calls (``wrbench/run.py`` under
+``PYTHONDONTWRITEBYTECODE=1``): no prefix, so the standard library is
+read from its installed bytecode, and ``wordrep`` is imported from a
+temporary copy of ``src/`` with no ``__pycache__``, so it is compiled on
+every call.  No state writes under ``src/``.  Rows are
+``<call>_<state>_min_ms`` and ``<call>_<state>_median_ms``.
 
 Both trees, the parent's and the change's, are measured in one
 invocation, taking turns within each round.  It writes
@@ -26,6 +31,7 @@ invocation, taking turns within each round.  It writes
 from __future__ import annotations
 
 import os
+import shutil
 import statistics
 import sys
 import tempfile
@@ -38,7 +44,8 @@ RUNS = 21
 METHOD = (f"minimum and median of {RUNS} fresh python3 -S processes per row, "
           "wall-clock ms from spawn to exit; cold: -B with an empty "
           "PYTHONPYCACHEPREFIX (every non-frozen module compiled); warm: -B with "
-          "a prefix one untimed run filled")
+          "a prefix one untimed run filled; bench: -B, no prefix, wordrep from a copy of "
+          "src/ with no __pycache__ (the standard library from its installed bytecode)")
 CLI = "from wordrep.cli import console_main; console_main()"
 CALLS = (
     ("import", ["-c", "import wordrep.cli"], ""),
@@ -48,13 +55,18 @@ CALLS = (
 
 
 def measure(trees: dict[str, Path]) -> dict[str, dict]:
-    base = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
     samples: dict[str, dict[str, list[float]]] = {label: {} for label in trees}
     with tempfile.TemporaryDirectory() as cache:
         # one cold and one warm prefix per tree, so that no tree reads the other's bytecode
         envs = {(label, state): dict(base, PYTHONPATH=str(src),
                                      PYTHONPYCACHEPREFIX=f"{cache}/{label}_{state}")
                 for label, src in trees.items() for state in ("cold", "warm")}
+        for label, src in trees.items():
+            copy = shutil.copytree(src, f"{cache}/{label}_src",
+                                   ignore=shutil.ignore_patterns("__pycache__"))
+            envs[label, "bench"] = dict(base, PYTHONPATH=copy)
         for label in trees:
             for _, args, stdin in CALLS:
                 process_seconds(["-S"], args, stdin, envs[label, "warm"])

@@ -220,7 +220,8 @@ def _lift(g: Graph, log: list[tuple[int, int, int]], og: OrientedGraph) -> Orien
         for w in _bits(row & ~out[v]):  # in-neighbours, a true twin's kept twin among them
             out[w] |= 1 << v
     lifted = OrientedGraph._from_out(g, tuple(out))
-    assert is_semi_transitive(lifted)
+    if not is_semi_transitive(lifted):
+        raise OracleDisagreement("the lifted orientation is not semi-transitive")
     return lifted
 
 

@@ -20,8 +20,6 @@ routes that must agree disagreed).
 
 from __future__ import annotations
 
-import argparse
-import json
 import marshal
 import os
 import sys
@@ -99,13 +97,14 @@ def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
 
 
 def cmd_classify(args) -> int:
+    if args.json:
+        import json  # here, as it loads re: only JSON output pays for them
     parsed, errors = _parse_inputs(args.inputs)
     for g in parsed:
         verdict = _verdict_for(g, args.verify, args.witness)
         g6 = write_graph6(g)
         if args.json:
-            payload = {"graph6": g6, **verdict.to_json()}
-            print(json.dumps(payload))
+            print(json.dumps({"graph6": g6, **verdict.to_json()}))
         else:
             print(f"{g6}\t{verdict.to_text()}")
     return 1 if errors else 0
@@ -163,13 +162,12 @@ def _receive(stream) -> tuple[dict, list]:
 
 
 def cmd_census(args) -> int:
+    import json
     n = args.n
     allow_large = bool(os.environ.get(LARGE_CENSUS_VAR))
     if n > ENUMERATION_GUARD and not allow_large:
-        print(
-            f"census beyond n={ENUMERATION_GUARD} is gated; set {LARGE_CENSUS_VAR}=1 to override",
-            file=sys.stderr,
-        )
+        print(f"census beyond n={ENUMERATION_GUARD} is gated; set {LARGE_CENSUS_VAR}=1 to override",
+              file=sys.stderr)
         return 1
     start = time.perf_counter()
     counts: dict[str, int] = {}
@@ -253,10 +251,8 @@ def cmd_census(args) -> int:
         for key, cnt in summary["counts"].items():
             print(f"#   {key}: {cnt}")
     if args.expected is not None and args.expected != non_rep:
-        print(
-            f"expected {args.expected} non-representable graphs, found {non_rep}",
-            file=sys.stderr,
-        )
+        print(f"expected {args.expected} non-representable graphs, found {non_rep}",
+              file=sys.stderr)
         return 2
     return 0
 
@@ -275,7 +271,8 @@ def cmd_generate(args) -> int:
         print(write_graph6(g))  # raises beyond the graph6 short form
         if args.word:
             w = families.explicit_word(args.tag, *args.params)
-            assert represents(w, g)
+            if not represents(w, g):
+                raise OracleDisagreement(f"the explicit word of {args.tag} does not represent it")
             print(format_word(w))
         if args.orientation:
             og = families.canonical_orientation(args.tag, *args.params)
@@ -307,6 +304,7 @@ def _parse_fix(arcspec: str) -> list[tuple[int, int]]:
 def _classify_types_lines(g: Graph, og) -> int:
     """Print per-vertex type reports and any relative-order violations
     for og; returns a process exit code."""
+    import json
     sp = split_partition(g)
     if sp is None:
         print("--classify-types needs a split input graph", file=sys.stderr)
@@ -400,10 +398,7 @@ def cmd_represent(args) -> int:
             status = status or (0 if ok else 2)
             continue
         w = find_representant(g, args.max_uniformity)
-        if w is None:
-            print(f"{g6}\tnone")
-        else:
-            print(f"{g6}\t{format_word(w)}")
+        print(f"{g6}\t{'none' if w is None else format_word(w)}")
     return status
 
 
@@ -412,78 +407,117 @@ def cmd_represent(args) -> int:
 
 
 def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+    """An argument type: an integer no smaller than ``low``."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
+            import argparse  # only a rejected value loads it: argparse reports the error
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
     return integer
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wordrep",
-        description="word-representability of graphs via semi-transitive orientations",
-    )
+# Per command: its help, its function, the options of which at most one
+# may be given, and its arguments, each with its add_argument keywords.
+_FLAG = {"action": "store_true", "default": False}
+GRAMMAR = {
+    "classify": ("classify graph6 lines", cmd_classify, (), {
+        "inputs": dict(nargs="*", help="graph6 files ('-' or none: stdin)"),
+        "--verify": dict(_FLAG, help="cross-check with the oracle"),
+        "--witness": dict(_FLAG, help="attach orientation witnesses"),
+        "--json": _FLAG}),
+    "census": ("classify all isomorphism classes of order n", cmd_census, (), {
+        "n": dict(type=_int_at_least(0)),
+        "--filter": dict(choices=("all", "split", "connected"), default="all"),
+        "--expected": dict(type=int,
+                           help="exit 2 unless this many non-representable classes are found"),
+        "--json": _FLAG}),
+    "generate": ("emit a named graph as graph6", cmd_generate, (), {
+        "tag": dict(help=f"one of: {', '.join(families.family_tags())}"),
+        "params": dict(nargs="*", type=int),
+        "--orientation": dict(_FLAG, help="also emit the canonical orientation (bits + DOT)"),
+        "--word": dict(_FLAG, help="also emit the explicit representing word (odd K_TRIANGLE)")}),
+    "orient": ("semi-transitive orientations of graph6 lines", cmd_orient,
+               ("--all", "--count", "--bits"), {
+        "inputs": dict(nargs="*"),
+        "--all": dict(_FLAG, help="emit every orientation"),
+        "--count": dict(_FLAG, help="emit only the count"),
+        "--bits": dict(metavar="BITS", help="inspect this exact orientation instead of searching"),
+        "--fix": dict(default="", metavar="ARCS", help="comma-separated forced arcs, e.g. 0>1,1>2"),
+        "--dot": dict(_FLAG, help="also emit DOT text"),
+        "--classify-types": dict(_FLAG, help="print per-vertex type reports (split inputs)")}),
+    "represent": ("bounded uniform word search", cmd_represent, (), {
+        "inputs": dict(nargs="*"),
+        "--max-uniformity": dict(type=_int_at_least(1), default=3),
+        "--check": dict(metavar="WORD", help="verify a word instead of searching")}),
+}
+
+
+def build_parser():
+    """``GRAMMAR`` as an argparse parser: it writes the help and the usage
+    errors, and parses the spellings that ``_parse`` leaves to it."""
+    import argparse  # here, so that the common path does not load it
+
+    parser = argparse.ArgumentParser(prog="wordrep", description="word-representability "
+                                     "of graphs via semi-transitive orientations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify graph6 lines")
-    p.add_argument("inputs", nargs="*", help="graph6 files ('-' or none: stdin)")
-    p.add_argument("--verify", action="store_true", help="cross-check with the oracle")
-    p.add_argument("--witness", action="store_true", help="attach orientation witnesses")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("census", help="classify all isomorphism classes of order n")
-    p.add_argument("n", type=_int_at_least(0))
-    p.add_argument("--filter", choices=("all", "split", "connected"), default="all")
-    p.add_argument("--expected", type=int, default=None,
-                   help="exit 2 unless this many non-representable classes are found")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("generate", help="emit a named graph as graph6")
-    p.add_argument("tag", help=f"one of: {', '.join(families.family_tags())}")
-    p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--orientation", action="store_true",
-                   help="also emit the canonical orientation (bits + DOT)")
-    p.add_argument("--word", action="store_true",
-                   help="also emit the explicit representing word (odd K_TRIANGLE)")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("orient", help="semi-transitive orientations of graph6 lines")
-    p.add_argument("inputs", nargs="*")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", help="emit every orientation")
-    group.add_argument("--count", action="store_true", help="emit only the count")
-    group.add_argument("--bits", default=None, metavar="BITS",
-                       help="inspect this exact orientation instead of searching")
-    p.add_argument("--fix", default="", metavar="ARCS",
-                   help="comma-separated forced arcs, e.g. 0>1,1>2")
-    p.add_argument("--dot", action="store_true", help="also emit DOT text")
-    p.add_argument("--classify-types", action="store_true",
-                   help="print per-vertex type reports (split inputs)")
-    p.set_defaults(func=cmd_orient)
-
-    p = sub.add_parser("represent", help="bounded uniform word search")
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--max-uniformity", type=_int_at_least(1), default=3)
-    p.add_argument("--check", default=None, metavar="WORD",
-                   help="verify a word instead of searching")
-    p.set_defaults(func=cmd_represent)
-
+    for command, (help_text, func, exclusive, arguments) in GRAMMAR.items():
+        p = sub.add_parser(command, help=help_text)
+        group = p.add_mutually_exclusive_group() if exclusive else p
+        for name, keywords in arguments.items():
+            (group if name in exclusive else p).add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: list[str]):
+    """``build_parser().parse_args(argv)`` for argv spelled as ``GRAMMAR``
+    writes it: each option once, in full and apart from its value, the
+    positionals in one run.  None for anything else, which argparse parses."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, func, exclusive, arguments = GRAMMAR[argv[0]]
+    values = {"command": argv[0], "func": func}
+    given, at, tokens = [], [], enumerate(argv[1:], 1)
+    try:  # an unknown option, a missing value or positional, or a converter's error
+        for i, token in tokens:
+            if token == "-" or token[:1] != "-":
+                at.append(i)
+                continue
+            keywords, dest = arguments[token], token[2:].replace("-", "_")
+            given.append(token)
+            if "action" in keywords:
+                values[dest] = True
+                continue
+            value = next(tokens)[1]
+            values[dest] = keywords.get("type", str)(value)
+            if value[:1] == "-" or values[dest] not in keywords.get("choices", [values[dest]]):
+                return None
+        words, unique = argv[at[0]:at[-1] + 1] if at else [], set(given)
+        if len(words) > len(at) or len(unique) < len(given) or len(unique & set(exclusive)) > 1:
+            return None
+        for name, keywords in arguments.items():
+            convert = keywords.get("type", str)
+            if name[0] == "-":
+                values.setdefault(name[2:].replace("-", "_"), keywords.get("default"))
+            elif keywords.get("nargs"):
+                values[name], words = [convert(word) for word in words], []
+            else:
+                values[name], words = convert(words[0]), words[1:]
+    except Exception:  # argparse parses argv again, and reports or raises what failed here
+        return None
+    return None if words else type(sys.implementation)(**values)  # types.SimpleNamespace
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
     except OracleDisagreement as exc:

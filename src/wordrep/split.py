@@ -108,7 +108,8 @@ def _orient_along(g: Graph, path: Sequence[int]) -> OrientedGraph:
         rank[x] = (pos ^ (pos + 1)).bit_length() - 1.5 if end & (end - 1) else len(path)
     og = OrientedGraph._from_out(g, tuple(
         sum(1 << w for w in _bits(row) if rank[w] > rank[v]) for v, row in enumerate(g.adj)))
-    assert is_semi_transitive(og)
+    if not is_semi_transitive(og):
+        raise OracleDisagreement("the orientation along the clique path is not semi-transitive")
     return og
 
 

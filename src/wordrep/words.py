@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .graphs import Graph, _bits
+from .orient import OracleDisagreement
 
 Word = tuple[int, ...]
 
@@ -192,7 +193,8 @@ def _search_uniform(g: Graph, k: int) -> Word | None:
         pos[c] = len(word)
         word += (c,)
         if len(word) == n * k:
-            assert represents(word, g)
+            if not represents(word, g):
+                raise OracleDisagreement(f"the word {format_word(word)} found does not represent g")
             return word
         stack.append((full & ~used, word, remaining, pos, broken, used, seen))
     return None

@@ -613,6 +613,22 @@ def test_internal_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     assert "invariant violation" in err
 
 
+def test_a_wrong_explicit_word_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(families, "explicit_word", lambda tag, *params: (0, 1, 0, 1))
+    code, out, err = run(capsys, "generate", "K_TRIANGLE", "5", "--word")
+    assert code == 3
+    assert err.startswith("internal invariant violation: ")
+    # the check is a raise, not an assert, so python -O keeps it
+    script = ("import sys; from wordrep import cli, families; "
+              "families.explicit_word = lambda tag, *params: (0, 1, 0, 1); "
+              "sys.exit(cli.main(['generate', 'K_TRIANGLE', '5', '--word']))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal invariant violation: ")
+
+
 @pytest.mark.parametrize("command", ["classify", "orient", "represent"])
 def test_unreadable_input_is_one_stderr_line(tmp_path, command):
     missing = tmp_path / "missing.g6"
