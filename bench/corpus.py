@@ -22,6 +22,17 @@ Workloads:
 - ``census_8_connected``: the 11117 connected classes on 8 vertices,
   without witnesses.
 
+Two layer rows, ``layers``, timed in process by ``LAYERS``:
+
+- ``engine``: ``find_semi_transitive_orientation`` over the reduced
+  graphs of the ``census_8_connected`` classes that the ladder decides
+  by ``ORACLE_SEARCH``, one call each;
+- ``scan``: ``contains_induced`` over 200 degree-two split graphs with
+  n <= 20, drawn from ``random.Random(8)`` as
+  ``tests/test_classify.py::_random_degree_two_split(rng, 20)`` draws
+  them, each scanned as that file's ``_degree_two_generic`` does: T2,
+  then A_l for l = 4, 5, ... while 2l - 1 <= n, up to the first hit.
+
 Two numbers per workload, each the minimum over five runs:
 
 - ``cli_s``: wall-clock seconds of one fresh ``python3 -S`` process of
@@ -86,6 +97,48 @@ print(json.dumps(spent))
 """
 
 
+# Runs in the measured tree: one timed pass of each layer row.
+LAYERS = """
+import json, random, time
+from wordrep import families
+from wordrep.classify import _reduce, classify_graph
+from wordrep.graphs import Graph, contains_induced, enumerate_graphs, is_connected
+from wordrep.orient import find_semi_transitive_orientation
+searched = [_reduce(g)[0] for g in enumerate_graphs(8)
+            if is_connected(g) and classify_graph(g).reason == "ORACLE_SEARCH"]
+start = time.perf_counter()
+for h in searched:
+    find_semi_transitive_orientation(h)
+engine = time.perf_counter() - start
+rng, hosts = random.Random(8), []
+for _ in range(200):  # _random_degree_two_split(rng, 20)
+    m = rng.randint(3, 10)
+    k = rng.randint(0, 20 - m)
+    nbhds = []
+    if k >= 3 and rng.random() < 0.5:
+        cyc = rng.sample(range(m), rng.randint(3, min(m, k)))
+        nbhds = [(cyc[i - 1], c) for i, c in enumerate(cyc)]
+    while len(nbhds) < k:
+        if nbhds and rng.random() < 0.2:
+            nbhds.append(rng.choice(nbhds))
+        else:
+            nbhds.append(rng.sample(range(m), rng.choice((0, 1, 2, 2))))
+    edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
+    edges += [(c, w) for w, nb in enumerate(nbhds, m) for c in nb]
+    perm = list(range(m + k))
+    rng.shuffle(perm)
+    hosts.append(Graph(m + k, [(perm[u], perm[v]) for u, v in edges]))
+scans, start = 0, time.perf_counter()
+for g in hosts:
+    for pattern in [families.named("T2")] + [families.a_graph(l) for l in range(4, (g.n + 3) // 2)]:
+        scans += 1
+        if contains_induced(g, pattern) is not None:
+            break
+scan = time.perf_counter() - start
+print(json.dumps({"engine": [len(searched), engine], "scan": [scans, scan]}))
+"""
+
+
 def split_oracle_corpus() -> list[str]:
     """graph6 lines of the ``split_oracle`` workload; the filter reads the
     split partition, reduction and G-decomposition of this tree."""
@@ -137,10 +190,24 @@ def route_seconds(env: dict, stdin: str, witness: bool, source: str) -> dict[str
     return json.loads(done.stdout)
 
 
+def layer_seconds(env: dict) -> dict[str, list]:
+    """row -> [calls, seconds] from one ``LAYERS`` process."""
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", LAYERS], text=True, env=env,
+                          check=True, capture_output=True)
+    return json.loads(done.stdout)
+
+
 def measure(trees: dict[str, Path]) -> dict[str, dict]:
     rows: dict[str, dict] = {label: {} for label in trees}
     with tempfile.TemporaryDirectory() as cache:
         envs = tree_envs(trees, cache)
+        passes = interleaved(envs, RUNS, layer_seconds)
+        for label in envs:
+            rows[label]["layers"] = {
+                row: {"calls": passes[label][0][row][0],
+                      "seconds": round(min(p[row][1] for p in passes[label]), 4)}
+                for row in ("engine", "scan")}
+            print(label, "layers", json.dumps(rows[label]["layers"]), flush=True)
         for name, (lines, witness) in workloads().items():
             source = "census" if lines is None else "stdin"
             stdin = "" if lines is None else "\n".join(lines) + "\n"

@@ -205,7 +205,9 @@ def _reduce(g: Graph) -> tuple[Graph, list[tuple[int, int, int]]]:
         else:
             return (Graph._from_adj(g.n, tuple(adj)) if log else g), log
         log.append((v, kept, row))
-        adj = [0 if w == v else r & ~(1 << v) for w, r in enumerate(adj)]
+        adj[v] = 0
+        for w in _bits(row):
+            adj[w] ^= 1 << v
 
 
 def _lift(g: Graph, log: list[tuple[int, int, int]], og: OrientedGraph) -> OrientedGraph:

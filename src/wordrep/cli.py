@@ -59,14 +59,16 @@ from .words import find_representant, format_word, parse_word, represents
 LARGE_CENSUS_VAR = "WORDREP_ALLOW_LARGE_CENSUS"
 
 
-def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
-    """Parse the graph6 lines of files or stdin; returns (graphs,
-    error_count) and reports each failure on stderr: an unreadable file
-    as one line naming it, a bad line with its line number, prefixed by
-    the file name unless it came from stdin.  Lines are read as bytes and
-    each byte decoded to its own code point, so a stray byte is a parse
-    error on its line, never a decoding crash."""
-    parsed: list[Graph] = []
+def _parse_inputs(paths: list[str]) -> tuple[list[tuple[str, Graph]], int]:
+    """Parse the graph6 lines of files or stdin; returns ((text, graph)
+    pairs, error_count) and reports each failure on stderr: an unreadable
+    file as one line naming it, a bad line with its line number, prefixed
+    by the file name unless it came from stdin.  Lines are read as bytes
+    and each byte decoded to its own code point, so a stray byte is a
+    parse error on its line, never a decoding crash.  A graph has one
+    graph6 text (``parse_graph6`` checks length and padding), so the text
+    less any header is ``write_graph6`` of the graph."""
+    parsed: list[tuple[str, Graph]] = []
     errors = 0
     for path in paths or ["-"]:
         try:
@@ -84,8 +86,9 @@ def _parse_inputs(paths: list[str]) -> tuple[list[Graph], int]:
             line = line.strip()
             if not line:
                 continue
+            text = line.decode("latin-1")
             try:
-                parsed.append(parse_graph6(line.decode("latin-1")))
+                parsed.append((text.removeprefix(">>graph6<<"), parse_graph6(text)))
             except Graph6Error as exc:
                 errors += 1
                 print(f"{where}line {lineno}: {exc}", file=sys.stderr)
@@ -100,9 +103,8 @@ def cmd_classify(args) -> int:
     if args.json:
         import json  # here, as it loads re: only JSON output pays for them
     parsed, errors = _parse_inputs(args.inputs)
-    for g in parsed:
+    for g6, g in parsed:
         verdict = _verdict_for(g, args.verify, args.witness)
-        g6 = write_graph6(g)
         if args.json:
             print(json.dumps({"graph6": g6, **verdict.to_json()}))
         else:
@@ -162,7 +164,8 @@ def _receive(stream) -> tuple[dict, list]:
 
 
 def cmd_census(args) -> int:
-    import json
+    if args.json:
+        import json  # here, as it loads re: only JSON output pays for them
     n = args.n
     allow_large = bool(os.environ.get(LARGE_CENSUS_VAR))
     if n > ENUMERATION_GUARD and not allow_large:
@@ -337,8 +340,7 @@ def cmd_orient(args) -> int:
         return 1
     parsed, errors = _parse_inputs(args.inputs)
     status = 1 if errors else 0
-    for g in parsed:
-        g6 = write_graph6(g)
+    for g6, g in parsed:
         try:  # a bad --bits string, or fixed arcs that do not fit g
             if args.bits is not None:
                 og = orient_by_bits(g, args.bits)
@@ -390,8 +392,7 @@ def cmd_represent(args) -> int:
         return 1
     parsed, errors = _parse_inputs(args.inputs)
     status = 1 if errors else 0
-    for g in parsed:
-        g6 = write_graph6(g)
+    for g6, g in parsed:
         if checked is not None:
             ok = represents(checked, g)
             print(f"{g6}\t{'represents' if ok else 'does-not-represent'}")

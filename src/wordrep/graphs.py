@@ -239,36 +239,48 @@ class Embedding(namedtuple("Embedding", "mapping")):
 
 
 def _match(
-    host: Graph, pattern: Graph, order: list[int], candidates: list[list[int]]
+    host: Graph, pattern: Graph, order: list[int], domains: list[int]
 ) -> list[int] | None:
     """First map (indexed by pattern vertex) sending each ``order[i]`` to
-    a host vertex from ``candidates[i]``, tried in list order, such that
-    adjacency among matched vertices agrees both ways; or None."""
+    a host vertex of the mask ``domains[i]``, least first, such that
+    adjacency among matched vertices agrees both ways; or None.
+
+    Forward checking (Haralick-Elliott, *Artificial Intelligence* 1980):
+    placing ``order[i]`` on w narrows each later domain to w's row, or
+    its complement less w, as the pattern edge says, and a w that
+    empties one is skipped.  Only candidates without a completion go,
+    so the first map is the one plain backtracking in this order finds."""
     k = len(order)
     mapping = [-1] * pattern.n
     if not k:
         return mapping
-    # back[i]: the neighbours of order[i] matched before it
-    back = [[u for u in order[:i] if pattern.adj[v] >> u & 1] for i, v in enumerate(order)]
-    # an entry (depth, untried candidates, used host vertices, the used
-    # ones the image must see) is pushed back before its child
-    stack = [(0, iter(candidates[0]), 0, 0)]
+    pos = [0] * pattern.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # later[i]: order[i]'s pattern neighbours after it, as indices past i
+    later = [[pos[u] - i - 1 for u in _bits(pattern.adj[v]) if pos[u] > i]
+             for i, v in enumerate(order)]
+    # an entry (depth, untried candidates, the later domains) is pushed
+    # back before its child
+    stack = [(0, domains[0], domains[1:])]
     while stack:
-        i, rest, used, want = stack.pop()
-        for w in rest:
-            if not used >> w & 1 and host.adj[w] & used == want:
+        i, rest, doms = stack.pop()
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest ^= 1 << w
+            row = host.adj[w]
+            narrowed = list(map((~row ^ 1 << w).__and__, doms))
+            for j in later[i]:
+                narrowed[j] = doms[j] & row
+            if 0 not in narrowed:
                 break
         else:
             continue
-        stack.append((i, rest, used, want))
+        stack.append((i, rest, doms))
         mapping[order[i]] = w
-        i += 1
-        if i == k:
+        if i + 1 == k:
             return mapping
-        want = 0
-        for u in back[i]:
-            want |= 1 << mapping[u]
-        stack.append((i, iter(candidates[i]), used | 1 << w, want))
+        stack.append((i + 1, narrowed[0], narrowed[1:]))
     return None
 
 
@@ -283,11 +295,14 @@ def contains_induced(host: Graph, pattern: Graph) -> Embedding | None:
     np_, nh = pattern.n, host.n
     if np_ > nh:
         return None
-    # candidates[v]: host vertices with at least v's degree and non-degree
-    hdeg = [host.degree(w) for w in range(nh)]
-    candidates = [[w for w in range(nh) if hdeg[w] >= d and nh - hdeg[w] >= np_ - d]
-                  for d in (pattern.degree(v) for v in range(np_))]
-    mapping = _match(host, pattern, list(range(np_)), candidates)
+    # a vertex of degree d takes host vertices with at least its degree
+    # and non-degree, of degree d..nh-np_+d
+    by_degree = [0] * (nh + 1)
+    for w, row in enumerate(host.adj):
+        by_degree[row.bit_count()] |= 1 << w
+    degrees = [row.bit_count() for row in pattern.adj]
+    domain = {d: sum(by_degree[d:nh - np_ + d + 1]) for d in set(degrees)}
+    mapping = _match(host, pattern, list(range(np_)), [domain[d] for d in degrees])
     return None if mapping is None else Embedding(tuple(mapping))
 
 
@@ -340,11 +355,11 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     hc = _refine_colors(h)
     if sorted(gc) != sorted(hc):
         return False
-    by_color: dict[int, list[int]] = {}
+    by_color: dict[int, int] = {}  # colour -> mask of h's vertices
     for w, c in enumerate(hc):
-        by_color.setdefault(c, []).append(w)
+        by_color[c] = by_color.get(c, 0) | 1 << w
     # match most-constrained vertices first
-    order = sorted(range(g.n), key=lambda v: (len(by_color[gc[v]]), -g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: (by_color[gc[v]].bit_count(), -g.degree(v), v))
     return _match(h, g, order, [by_color[gc[v]] for v in order]) is not None
 
 

@@ -177,10 +177,12 @@ def is_transitive(og: OrientedGraph) -> bool:
     return True
 
 
-def _has_shortcut(adj: Sequence[int], reach: Sequence[int], anc: Sequence[int]) -> bool:
+def _has_shortcut(adj: Sequence[int], reach: Sequence[int], anc: Sequence[int],
+                  scope: int) -> bool:
     """Shortcut decision on an acyclic, full or partial orientation of
     the base graph ``adj``, given ``reach[v]``/``anc[v]``, the
-    descendants/ancestors of v, v included.
+    descendants/ancestors of v, v included, for u and v (below) in the
+    mask ``scope``.
 
     A shortcut exists iff there are vertices u, v, non-adjacent in the
     base graph, with u reaching v, and a base edge {a, b} such that a
@@ -189,21 +191,24 @@ def _has_shortcut(adj: Sequence[int], reach: Sequence[int], anc: Sequence[int]) 
     path of length >= 3 below the shortcutting edge a->b whose vertex
     set induces a non-transitive subgraph (the pair (u,v) is missing).
     So a hit on a partial orientation survives every completion, and on
-    a full one the test reads the same as with arcs.
+    a full one the test reads the same as with arcs.  One of the three
+    reachabilities of a shortcut that a new arc x->y creates runs
+    through it, so u and v are both ancestors of x or descendants of y:
+    after each arc, the engine's scope.
     """
-    for u, ru in enumerate(reach):
-        cand = ru & ~(1 << u) & ~adj[u]
-        if not cand:
-            continue
-        heads = 0
-        for a in _bits(anc[u]):
-            heads |= adj[a]
-        while cand:
-            lb = cand & -cand
-            v = lb.bit_length() - 1
-            cand ^= lb
-            if heads & reach[v]:
-                return True
+    rest = scope
+    while rest:
+        lb = rest & -rest
+        rest ^= lb
+        u = lb.bit_length() - 1
+        cand = reach[u] & scope & ~adj[u] & ~lb
+        if cand:
+            heads = 0
+            for a in _bits(anc[u]):
+                heads |= adj[a]
+            for v in _bits(cand):
+                if heads & reach[v]:
+                    return True
     return False
 
 
@@ -249,7 +254,7 @@ def _closure(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[list[int], list[i
 def is_semi_transitive(og: OrientedGraph) -> bool:
     """Acyclic and shortcut-free."""
     closure = _closure(og.n, og.arcs())
-    return closure is not None and not _has_shortcut(og.base.adj, *closure)
+    return closure is not None and not _has_shortcut(og.base.adj, *closure, (1 << og.n) - 1)
 
 
 def semi_transitive_orientations(
@@ -277,7 +282,7 @@ def semi_transitive_orientations(
     # one shortcut test after the last fixed arc: a hit on a partial
     # orientation survives every arc added later (``_has_shortcut``)
     closure = _closure(n, fixed)
-    if closure is None or _has_shortcut(g.adj, *closure):
+    if closure is None or _has_shortcut(g.adj, *closure, (1 << n) - 1):
         return
     reach, anc = closure
 
@@ -295,7 +300,7 @@ def semi_transitive_orientations(
         i, flip, reach, anc = stack.pop()
         reach, anc = reach[:], anc[:]
         a, b = free[i][::-1] if flip else free[i]
-        if not _add_arc(reach, anc, a, b) or _has_shortcut(g.adj, reach, anc):
+        if not _add_arc(reach, anc, a, b) or _has_shortcut(g.adj, reach, anc, anc[a] | reach[b]):
             continue
         if i == last:
             # every edge is placed: v's out-neighbours are the ones it
@@ -384,15 +389,16 @@ def find_transitive_orientation(g: Graph) -> OrientedGraph | None:
     class holds an edge both ways, and then the union is transitive."""
     und = list(g.adj)  # the edges no class has taken yet
     out = [0] * g.n
-    for u, v in g.edges():
-        if und[u] >> v & 1:
-            arcs, _, clash = _implication_class(und, u, v)
-            if clash:
-                return None
-            for a, b in arcs:
-                out[a] |= 1 << b
-                und[a] &= ~(1 << b)
-                und[b] &= ~(1 << a)
+    for u in range(g.n):
+        for v in _bits(und[u] & -(2 << u)):  # u's higher neighbours left
+            if und[u] >> v & 1:  # unless an earlier edge's class took it
+                arcs, _, clash = _implication_class(und, u, v)
+                if clash:
+                    return None
+                for a, b in arcs:
+                    out[a] |= 1 << b
+                    und[a] &= ~(1 << b)
+                    und[b] &= ~(1 << a)
     og = OrientedGraph._from_out(g, tuple(out))
     if not is_transitive(og):
         raise OracleDisagreement("the implication classes' union is not transitive")

@@ -91,6 +91,16 @@ def test_benchmark_calls_do_not_load_argparse(argv, stdin):
     assert proc.stderr == "False\n"
 
 
+def test_text_census_does_not_load_json():
+    # json (with re) loads only for the census output that is JSON
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); from wordrep.cli import main; "
+             "code = main(['census', '5']); print('json' in sys.modules, file=sys.stderr); "
+             "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
+    assert proc.stdout.startswith("# n=5 filter=all classes=34 ")
+
+
 HELP = """\
 usage: wordrep [-h] {classify,census,generate,orient,represent} ...
 

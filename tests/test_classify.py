@@ -147,13 +147,13 @@ def _cycle_pairs(*vs):
     return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
 
-def _random_degree_two_split(rng):
-    """A relabelled clique K_m, m <= 10, plus up to 14 - m independent
-    vertices: half the time a cover cycle on 3..m clique vertices, then
-    vertices of degree 0, 1 or 2, about one in five a twin of an
-    earlier one."""
+def _random_degree_two_split(rng, order=14):
+    """A relabelled clique K_m, m <= 10, plus up to ``order`` - m
+    independent vertices: half the time a cover cycle on 3..m clique
+    vertices, then vertices of degree 0, 1 or 2, about one in five a twin
+    of an earlier one."""
     m = rng.randint(3, 10)
-    k = rng.randint(0, 14 - m)
+    k = rng.randint(0, order - m)
     nbhds = []
     if k >= 3 and rng.random() < 0.5:
         cyc = rng.sample(range(m), rng.randint(3, min(m, k)))
@@ -186,7 +186,7 @@ def test_find_a_ell_routes_agree(rng):
         for g in enumerate_graphs(n):
             agree(g)
     local = random.Random(8)
-    assert sum(agree(_random_degree_two_split(local)) for _ in range(500)) == 500
+    assert sum(agree(_random_degree_two_split(local, 20)) for _ in range(500)) == 500
 
 
 def test_classify_degree_two_reads_the_cover_graph():

@@ -125,6 +125,25 @@ def test_classify_reads_stdin(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("line 3: ")
 
 
+@pytest.mark.parametrize("argv,tail", [
+    (["classify"], "\trepresentable\tCOMPARABILITY"),
+    (["classify", "--json"], None),
+    (["orient", "--count"], "\t4"),
+    (["represent"], "\t010212"),
+])
+def test_input_lines_are_echoed_without_their_header(tmp_path, capsys, argv, tail):
+    # each output line starts with the input line (here a path on three
+    # vertices), less any >>graph6<< header and the spaces around it
+    path = tmp_path / "in.g6"
+    path.write_text(">>graph6<<Bg\n  Bg \n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, err) == (0, "")
+    if tail is None:
+        assert [json.loads(line)["graph6"] for line in out.splitlines()] == ["Bg", "Bg"]
+    else:
+        assert out == f"Bg{tail}\nBg{tail}\n"
+
+
 def test_census_small(capsys):
     code, out, err = run(capsys, "census", "6", "--expected", "1")
     assert code == 0

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordrep import families
 from wordrep.graphs import (
@@ -34,6 +36,7 @@ from wordrep.graphs import (
 )
 from wordrep.split import split_partition
 from conftest import EXHAUSTIVE, random_graph
+import label_order_match
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,6 +143,37 @@ def test_graph6_rejects_non_zero_padding():
         assert err.value.offset == offset and "padding" in str(err.value)
     # no padding to check when the bits fill the last byte (n = 4: 6 bits)
     assert parse_graph6("C~") == families.complete(4)
+
+
+@st.composite
+def graph6_texts(draw):
+    """A graph6 line for n <= 62 with random data bytes, its padding bits
+    cleared half the time, then half the time one byte changed, cut or
+    added, after an optional format header."""
+    n = draw(st.integers(0, 62))
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    data = [63 + b % 64 for b in draw(st.binary(min_size=nbytes, max_size=nbytes))]
+    if data and draw(st.booleans()):
+        pad = 6 * nbytes - nbits
+        data[-1] = 63 + ((data[-1] - 63) >> pad << pad)
+    text = chr(n + 63) + "".join(map(chr, data))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(text))), draw(st.integers(0, 1))
+        text = text[:i] + draw(st.text(st.characters(max_codepoint=255), max_size=1)) + text[i + j:]
+    return draw(st.sampled_from(["", ">>graph6<<"])) + text
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(graph6_texts())
+def test_graph6_text_is_the_one_encoding_of_its_graph(text):
+    # the CLI echoes each input line, less any header, in place of the
+    # encoding of its graph: every text that parses is that encoding
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    assert write_graph6(g) == text.removeprefix(">>graph6<<")
 
 
 def test_graph_construction_validation():
@@ -260,6 +294,31 @@ def test_contains_induced_returns_the_least_embedding():
         maps = [m for m in itertools.permutations(range(n), k) if Embedding(m).is_valid(host, pat)]
         emb = contains_induced(host, pat)
         assert (emb and emb.mapping) == (min(maps) if maps else None)
+
+
+def test_forward_checking_matches_the_label_order_matcher():
+    # the first embedding and the isomorphism answer of the forward-
+    # checking matcher are those of the plain label-order search it
+    # replaced, on seeded random hosts against the split patterns, the
+    # A_l and random patterns
+    rng = random.Random(31)
+    patterns = [families.named(t) for t in ("T1", "T2", "T3", "T4")]
+    patterns += [families.a_graph(l) for l in (4, 5, 6)]
+    hits = 0
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        host = random_graph(rng, n, rng.random())
+        drawn = [random_graph(rng, rng.randint(0, min(n, 7)), rng.random()) for _ in range(3)]
+        for pat in patterns + drawn:
+            emb = contains_induced(host, pat)
+            assert emb == label_order_match.contains_induced(host, pat), (host, pat)
+            hits += emb is not None
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for other in (Graph(n, [(perm[u], perm[v]) for u, v in host.edges()]),
+                      random_graph(rng, n, rng.random())):
+            assert is_isomorphic(host, other) == label_order_match.is_isomorphic(host, other)
+    assert hits > 300
 
 
 def test_matcher_handles_a_1200_vertex_path():

@@ -335,9 +335,34 @@ def test_shortcut_test_reads_base_adjacency_on_partial_orientations():
     anc = reach[:]
     for a, b in ((0, 1), (1, 2), (2, 3)):
         assert _add_arc(reach, anc, a, b)
-    assert _has_shortcut(c4.adj, reach, anc)
+    assert _has_shortcut(c4.adj, reach, anc, 0b1111)
     assert not _add_arc(reach[:], anc[:], 3, 0)
     assert not is_semi_transitive(OrientedGraph(c4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+
+
+def test_engine_scope_gives_the_full_scope_sequence(monkeypatch):
+    # after each arc the engine tests only the vertices before its tail
+    # or after its head; testing every vertex instead must yield the
+    # same orientations in the same order, with and without fixed arcs
+    import wordrep.orient as orient_mod
+
+    def sequences(g, fixed):
+        return [og.out for og in semi_transitive_orientations(g, fixed)]
+
+    full = orient_mod._has_shortcut
+    rng = random.Random(41)
+    graphs = [g for n in range(7) for g in enumerate_graphs(n)]
+    graphs += [random_graph(rng, 9, p) for p in (0.3, 0.4, 0.5) for _ in range(4)]
+    cases = []
+    for g in graphs:
+        edges = g.edges()
+        some = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in rng.sample(edges, len(edges) // 3)]
+        cases += [(g, []), (g, some)]
+    scoped = [sequences(g, fixed) for g, fixed in cases]
+    monkeypatch.setattr(orient_mod, "_has_shortcut",
+                        lambda adj, reach, anc, scope: full(adj, reach, anc, (1 << len(adj)) - 1))
+    assert [sequences(g, fixed) for g, fixed in cases] == scoped
+    assert sum(map(len, scoped)) > 10000
 
 
 def test_engine_with_fixed_arcs_matches_brute_force(rng):
